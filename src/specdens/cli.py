@@ -19,8 +19,9 @@ Profiles are read from CSV (K lines of K comma-separated decimals) or JSON
 
 Exit codes: 0 success; 1 check failed (scaling deviation above tolerance,
 or a command that requires a supported profile was given one without
-support); 2 unreadable or invalid profile; 3 profile with an identically
-zero row; 4 internal structure violation; 5 solver non-convergence.
+support); 2 unreadable or invalid profile, or an invalid argument value
+(such as a non-positive ``--epsilon``); 3 profile with an identically zero
+row; 4 internal structure violation; 5 solver non-convergence.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from .dyson import (
 from .errors import (
     NegativeEntryError,
     NonConvergenceError,
+    NonPositiveInputError,
     NoSupportError,
     NotSymmetricError,
     StructureViolationError,
@@ -278,7 +280,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, NotSymmetricError, NegativeEntryError) as exc:
+    except (
+        ValueError, NotSymmetricError, NegativeEntryError, NonPositiveInputError
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except ZeroRowError as exc:

@@ -250,28 +250,38 @@ class _Budget:
         return self.left <= 0
 
 
-# --- solver on the imaginary axis -----------------------------------------------
+# --- shared stage driver --------------------------------------------------------
+#
+# Both solvers drive x * (z + S x) = c to tolerance: on the imaginary axis
+# x = v > 0, z = eta and c = 1; in the upper half-plane x = m with Im m > 0
+# and c = -1.  On the axis the plane equation holds with z = i eta, m = i v.
 
 
-def _axis_residual(a: np.ndarray, eta: float, v: np.ndarray) -> float:
-    return float(np.max(np.abs(v * (eta + a @ v) - 1.0)))
+def _feasible(c: float, x: np.ndarray) -> bool:
+    """Whether x lies in the solution domain: v > 0 on the axis (c > 0),
+    Im m > 0 in the plane (c < 0)."""
+    return bool((x > 0).all()) if c > 0 else bool((x.imag > 0).all())
 
 
-def _axis_newton_step(a, eta, v):
+def _residual(a: np.ndarray, z, c: float, x: np.ndarray) -> float:
+    return float(np.max(np.abs(x * (z + a @ x) - c)))
+
+
+def _newton_step(a, z, c, x):
     """One Newton step in multiplicative coordinates.
 
-    Solves (diag(v*(eta+Sv)) + diag(v) S diag(v)) y = -(v*(eta+Sv) - 1)
-    and updates v <- v * (1 + t y), halving t only until the trial stays
-    positive; the column scaling by diag(v) keeps the linear system well
-    conditioned even when v spans many orders of magnitude.  The step is
+    Solves (diag(x*(z+Sx)) + diag(x) S diag(x)) y = -(x*(z+Sx) - c) and
+    updates x <- x * (1 + t y), halving t only until the trial stays
+    feasible; the column scaling by diag(x) keeps the linear system well
+    conditioned even when x spans many orders of magnitude.  The step is
     deliberately not forced to decrease the residual: close to the
     zero-energy singularity the Jacobian is nearly singular along the
     pair-scaling direction and the residual rises sharply for one step
     before quadratic contraction sets in; a monotone line search would
     crawl.  Divergence is contained by the caller's watchdog."""
-    u = eta + a @ v
-    g = v * u - 1.0
-    jac = np.diag(v * u) + (v[:, None] * a) * v[None, :]
+    u = z + a @ x
+    g = x * u - c
+    jac = np.diag(x * u) + (x[:, None] * a) * x[None, :]
     try:
         y = np.linalg.solve(jac, -g)
     except np.linalg.LinAlgError:
@@ -280,21 +290,23 @@ def _axis_newton_step(a, eta, v):
         return None
     t = 1.0
     for _ in range(60):
-        trial = v * (1.0 + t * y)
-        if (trial > 0).all():
-            return trial, _axis_residual(a, eta, trial)
+        trial = x * (1.0 + t * y)
+        if _feasible(c, trial):
+            return trial, _residual(a, z, c, trial)
         t *= 0.5
     return None
 
 
-def _axis_damped_step(a, eta, v, res, theta):
-    """One damped fixed-point sweep v <- (1-theta) v + theta / (eta + S v),
-    halving theta until the residual does not increase.  Returns
-    (v, res, theta); theta is re-expanded slowly on success."""
-    cand = 1.0 / (eta + a @ v)
+def _damped_step(a, z, c, x, res, theta):
+    """One damped fixed-point sweep x <- (1-theta) x + theta * c / (z + S x),
+    halving theta until the residual does not increase.  The candidate is
+    feasible whenever x is, so the convex combination stays feasible for
+    every theta in (0, 1].  Returns (x, res, theta); theta is re-expanded
+    slowly on success."""
+    cand = c / (z + a @ x)
     while True:
-        trial = (1.0 - theta) * v + theta * cand
-        r = _axis_residual(a, eta, trial)
+        trial = (1.0 - theta) * x + theta * cand
+        r = _residual(a, z, c, trial)
         if r <= res or theta <= 1e-8:
             break
         theta *= 0.5
@@ -304,39 +316,49 @@ def _axis_damped_step(a, eta, v, res, theta):
 _WATCHDOG = 20
 
 
-def _axis_stage(a, eta, v, tol, budget: _Budget, method: str):
-    """Drive v to tolerance at fixed eta.
+def _stage(a, z, c, x, tol, budget: _Budget, newton: bool = True):
+    """Drive x to tolerance at fixed z.
 
     Newton steps are accepted without a monotonicity requirement; a
     watchdog tracks the best iterate seen and, after _WATCHDOG consecutive
     steps without a 10 percent improvement on it, reverts to the best
     iterate and finishes the stage with monotone damped sweeps."""
-    res = _axis_residual(a, eta, v)
+    point = "eta" if c > 0 else "z"
+    res = _residual(a, z, c, x)
     theta = 1.0
-    best_v, best_res = v, res
+    best_x, best_res = x, res
     stale = 0
     while res > tol:
         if budget.exhausted:
             raise NonConvergenceError(
-                f"no convergence at eta={eta:g}: residual {res:.3e} > {tol:g} "
+                f"no convergence at {point}={z:g}: residual {res:.3e} > {tol:g} "
                 f"after {budget.used} iterations",
                 residual=res,
             )
         stepped = None
-        if method == "hybrid" and stale < _WATCHDOG:
-            stepped = _axis_newton_step(a, eta, v)
+        if newton and stale < _WATCHDOG:
+            stepped = _newton_step(a, z, c, x)
         if stepped is None:
-            v, res, theta = _axis_damped_step(a, eta, v, res, theta)
+            x, res, theta = _damped_step(a, z, c, x, res, theta)
         else:
-            v, res = stepped
+            x, res = stepped
         budget.spend()
+        # both steps keep x feasible in exact arithmetic; only the plane
+        # solver reports an Im m that rounding pushed onto zero
+        if c < 0 and not _feasible(c, x):
+            raise ImaginarySignLostError(
+                f"iterate left the upper half-plane at z={z:g}"
+            )
         if res < best_res * 0.9:
-            best_v, best_res, stale = v, res, 0
+            best_x, best_res, stale = x, res, 0
         else:
             stale += 1
             if stale == _WATCHDOG:
-                v, res = best_v, best_res
-    return v, res
+                x, res = best_x, best_res
+    return x, res
+
+
+# --- solvers on the imaginary axis and in the upper half-plane -------------------
 
 
 def _continuation_path(target: float, top: float = 1.0) -> list[float]:
@@ -398,7 +420,7 @@ def solve_imaginary_axis(
         v = 1.0 / (path[0] + row / path[0])
     for stage_eta in path:
         stage_tol = tol if stage_eta == eta else max(tol, 1e-10)
-        v, res = _axis_stage(a, stage_eta, v, stage_tol, budget, method)
+        v, res = _stage(a, stage_eta, 1.0, v, stage_tol, budget, method == "hybrid")
     _assert_axis_bounds(a, eta, v, tol)
     v = v.copy()
     v.flags.writeable = False
@@ -417,82 +439,6 @@ def _assert_axis_bounds(a, eta, v, tol):
             "solver result violates the a priori bounds "
             f"[{lower:.3e}, {upper:.3e}] at eta={eta:g}"
         )
-
-
-# --- solver on the upper half-plane ---------------------------------------------
-
-
-def _plane_residual(a, z, m) -> float:
-    return float(np.max(np.abs(m * (z + a @ m) + 1.0)))
-
-
-def _plane_newton_step(a, z, m):
-    """Complex Newton step for m * (z + S m) + 1 = 0 in multiplicative
-    coordinates, halving the step only until Im m stays positive (no
-    monotone line search; see _axis_newton_step)."""
-    u = z + a @ m
-    g = m * u + 1.0
-    jac = np.diag(m * u) + (m[:, None] * a) * m[None, :]
-    try:
-        y = np.linalg.solve(jac, -g)
-    except np.linalg.LinAlgError:
-        return None
-    if not np.isfinite(y).all():
-        return None
-    t = 1.0
-    for _ in range(60):
-        trial = m * (1.0 + t * y)
-        if (trial.imag > 0).all():
-            return trial, _plane_residual(a, z, trial)
-        t *= 0.5
-    return None
-
-
-def _plane_damped_step(a, z, m, res, theta):
-    """Damped sweep m <- (1-theta) m + theta * (-1/(z + S m)).  The
-    candidate has positive imaginary part whenever m does, so the convex
-    combination stays in the upper half-plane for every theta in (0, 1]."""
-    cand = -1.0 / (z + a @ m)
-    while True:
-        trial = (1.0 - theta) * m + theta * cand
-        r = _plane_residual(a, z, trial)
-        if r <= res or theta <= 1e-8:
-            break
-        theta *= 0.5
-    return trial, r, min(1.0, theta * 1.25)
-
-
-def _plane_stage(a, z, m, tol, budget: _Budget):
-    res = _plane_residual(a, z, m)
-    theta = 1.0
-    best_m, best_res = m, res
-    stale = 0
-    while res > tol:
-        if budget.exhausted:
-            raise NonConvergenceError(
-                f"no convergence at z={z:g}: residual {res:.3e} > {tol:g} "
-                f"after {budget.used} iterations",
-                residual=res,
-            )
-        stepped = None
-        if stale < _WATCHDOG:
-            stepped = _plane_newton_step(a, z, m)
-        if stepped is None:
-            m, res, theta = _plane_damped_step(a, z, m, res, theta)
-        else:
-            m, res = stepped
-        budget.spend()
-        if not (m.imag > 0).all():
-            raise ImaginarySignLostError(
-                f"iterate left the upper half-plane at z={z:g}"
-            )
-        if res < best_res * 0.9:
-            best_m, best_res, stale = m, res, 0
-        else:
-            stale += 1
-            if stale == _WATCHDOG:
-                m, res = best_m, best_res
-    return m, res
 
 
 def solve_upper_half_plane(
@@ -536,7 +482,7 @@ def solve_upper_half_plane(
             m = np.full(k, 1j, dtype=complex)
     for stage_z in path:
         stage_tol = tol if stage_z == z else max(tol, 1e-9)
-        m, res = _plane_stage(a, stage_z, m, stage_tol, budget)
+        m, res = _stage(a, stage_z, -1.0, m, stage_tol, budget)
     m = m.copy()
     m.flags.writeable = False
     return PlaneSolution(z=z, m=m, residual=res, iterations=budget.used)

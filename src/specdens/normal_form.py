@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
 
 import numpy as np
 
@@ -40,8 +39,8 @@ from .errors import (
 )
 from .patterns import (
     ZeroPattern,
+    augmenting_matching,
     fid_skeleton,
-    has_support,
     is_fully_indecomposable,
     max_bipartite_matching,
     maximal_zero_submatrix,
@@ -413,37 +412,6 @@ def verify_normal_form(s, nf: NormalForm) -> None:
 
 # --- no-support splitting ---------------------------------------------------------
 
-_EXACT_HEIGHT_LIMIT = 16
-
-
-def _strong_hall(present: np.ndarray) -> bool:
-    """True iff every non-empty row set X of the given rectangular 0/1 matrix
-    touches at least |X| + 1 columns. Polynomial test: no zero row, all rows
-    matchable, and all rows still matchable after deleting any one column."""
-    rows, cols = present.shape
-    if rows == 0:
-        return True
-    if not present.any(axis=1).all():
-        return False
-
-    def saturates(allowed_cols: list[int]) -> bool:
-        col_match: list[Optional[int]] = [None] * cols
-
-        def try_augment(r: int, visited: set[int]) -> bool:
-            for c in allowed_cols:
-                if present[r, c] and c not in visited:
-                    visited.add(c)
-                    if col_match[c] is None or try_augment(col_match[c], visited):
-                        col_match[c] = r
-                        return True
-            return False
-
-        return all(try_augment(r, set()) for r in range(rows))
-
-    if not saturates(list(range(cols))):
-        return False
-    return all(saturates([c for c in range(cols) if c != drop]) for drop in range(cols))
-
 
 def no_support_normal_form(s) -> NoSupportForm:
     """Symmetric 3-block splitting of a profile without positive diagonal.
@@ -465,115 +433,41 @@ def no_support_normal_form(s) -> NoSupportForm:
     if cls.tag != "NoSupport":
         raise HasSupportError("profile has a positive diagonal")
 
-    present = profile.entries != 0
-    perimeter = len(cls.witness_i) + len(cls.witness_j)
-
-    if k <= _EXACT_HEIGHT_LIMIT:
-        row_bits = [
-            sum(1 << j for j in range(k) if present[i, j]) for i in range(k)
-        ]
-        best_b, best_a, best_perim = 0, 0, 0
-        for b in range(1, 1 << k):
-            a = 0
-            nb = b.bit_count()
-            for i in range(k):
-                if (b >> i) & 1 and not (row_bits[i] & b):
-                    a |= 1 << i
-            perim = nb + a.bit_count()
-            if perim > best_perim or (perim == best_perim and nb > best_b.bit_count()):
-                best_b, best_a, best_perim = b, a, perim
-        if best_perim != perimeter:
-            raise StructureViolationError(
-                "height maximization disagrees with the matching bound"
-            )
-        set_a = {i for i in range(k) if (best_a >> i) & 1}
-        set_b = {i for i in range(k) if (best_b >> i) & 1}
-    else:
-        # symmetrize the Koenig witness into a nested pair, then grow the
-        # column side by absorbing first-block rows whose third-block
-        # non-zeros fit into as many columns (perimeter-preserving).
-        set_i, set_j = set(cls.witness_i), set(cls.witness_j)
-        set_b = set_i | set_j
-        while True:
-            set_a = {i for i in set_b if not any(present[i, j] for j in set_b)}
-            rows = sorted(set(range(k)) - set_b)
-            cols = sorted(set_a)
-            sub = present[np.ix_(rows, cols)]
-            move = _find_absorbable(sub)
-            if move is None:
-                break
-            row_set, col_set = move
-            set_b |= {rows[r] for r in row_set}
-        if len(set_a) + len(set_b) != perimeter:
-            raise StructureViolationError(
-                "height repair changed the witness perimeter"
-            )
-
-    block1 = sorted(set(range(k)) - set_b)
-    block2 = sorted(set_b - set_a)
-    block3 = sorted(set_a)
-    perm = tuple(block1 + block2 + block3)
+    # Koenig's witness (I, J) has the smallest I and the largest J of all
+    # maximal-perimeter zero submatrices.  The profile is symmetric, so the
+    # nested pair (I & J, I | J) is one of them as well; hence I lies in J,
+    # and no nested pair of maximal perimeter has a larger column side.
+    set_i, set_j = set(cls.witness_i), set(cls.witness_j)
+    if not set_i <= set_j:
+        raise StructureViolationError("zero-corner witness is not nested")
+    block1 = [i for i in range(k) if i not in set_j]
+    block2 = [i for i in cls.witness_j if i not in set_i]
+    perm = tuple(block1 + block2 + list(cls.witness_i))
     permuted = profile.entries[np.ix_(perm, perm)]
-    sizes = (len(block1), len(block2), len(block3))
-    kappa = Fraction(len(set_a) + len(set_b) - k, k)
+    sizes = (len(block1), len(block2), len(cls.witness_i))
     form = NoSupportForm(
-        perm, sizes, tuple(block3), tuple(sorted(set_b)), kappa, permuted
+        perm, sizes, cls.witness_i, cls.witness_j, cls.kappa, permuted
     )
     _verify_no_support_form(profile, form)
     return form
 
 
-def _find_absorbable(present: np.ndarray) -> Optional[tuple[set[int], set[int]]]:
-    """A non-empty row set X with |N(X)| <= |X| in a rectangular 0/1 matrix,
-    or None when every row set spreads over more columns than its size."""
+def _strong_hall(present: np.ndarray) -> bool:
+    """True iff every non-empty row set X of the given rectangular 0/1 matrix
+    touches at least |X| + 1 columns. Polynomial test: no zero row, all rows
+    matchable, and all rows still matchable after deleting any one column."""
     rows, cols = present.shape
-    for r in range(rows):
-        if not present[r].any():
-            return {r}, set()
-
-    def max_match(allowed_cols: set[int]):
-        col_match: dict[int, int] = {}
-
-        def try_augment(r: int, visited: set[int]) -> bool:
-            for c in allowed_cols:
-                if present[r, c] and c not in visited:
-                    visited.add(c)
-                    if c not in col_match or try_augment(col_match[c], visited):
-                        col_match[c] = r
-                        return True
-            return False
-
-        unmatched = [r for r in range(rows) if not try_augment(r, set())]
-        return col_match, unmatched
-
-    def alternating_rows(col_match, unmatched, allowed_cols):
-        row_of = dict(col_match)
-        reach_rows = set(unmatched)
-        reach_cols: set[int] = set()
-        queue = list(unmatched)
-        while queue:
-            r = queue.pop()
-            for c in allowed_cols:
-                if present[r, c] and c not in reach_cols:
-                    reach_cols.add(c)
-                    r2 = row_of.get(c)
-                    if r2 is not None and r2 not in reach_rows:
-                        reach_rows.add(r2)
-                        queue.append(r2)
-        return reach_rows, reach_cols
-
-    all_cols = set(range(cols))
-    col_match, unmatched = max_match(all_cols)
-    if unmatched:
-        x, nx = alternating_rows(col_match, unmatched, all_cols)
-        return x, {c for c in all_cols if any(present[r, c] for r in x)}
-    for drop in range(cols):
-        allowed = all_cols - {drop}
-        cm, um = max_match(allowed)
-        if um:
-            x, _ = alternating_rows(cm, um, allowed)
-            return x, {c for c in all_cols if any(present[r, c] for r in x)}
-    return None
+    if rows == 0:
+        return True
+    if not present.any(axis=1).all():
+        return False
+    adj = [np.flatnonzero(present[r]).tolist() for r in range(rows)]
+    return all(
+        cols - augmenting_matching(
+            [[c for c in a if c != drop] for a in adj], cols
+        ).count(None) == rows
+        for drop in (None, *range(cols))
+    )
 
 
 def _verify_no_support_form(profile: VarianceProfile, form: NoSupportForm) -> None:

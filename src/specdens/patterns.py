@@ -130,6 +130,73 @@ class SkeletonResult:
     skeleton: ZeroPattern
 
 
+def augmenting_matching(
+    adj: Sequence[Sequence[int]], n_cols: int
+) -> list[Optional[int]]:
+    """Maximum matching of rows to columns by augmenting paths; returns, for
+    each column, its matched row (None if unmatched).
+
+    ``adj[r]`` lists the columns row r may take, in the order they are tried.
+    Rows are augmented in ascending order without greedy initialisation,
+    each by a depth-first search that starts with no column visited.  The
+    search keeps an explicit stack, so the length of an augmenting path is
+    not bounded by the interpreter's recursion limit."""
+    col_match: list[Optional[int]] = [None] * n_cols
+    for root in range(len(adj)):
+        visited = [False] * n_cols
+        # stack of (row, position of its next column to try); path[d] is the
+        # column through which stack[d + 1] was entered
+        stack = [(root, 0)]
+        path: list[int] = []
+        while stack:
+            r, pos = stack[-1]
+            cols = adj[r]
+            while pos < len(cols) and visited[cols[pos]]:
+                pos += 1
+            if pos == len(cols):
+                stack.pop()
+                if path:
+                    path.pop()
+                continue
+            c = cols[pos]
+            visited[c] = True
+            stack[-1] = (r, pos + 1)
+            if col_match[c] is None:
+                # augment: each row on the stack takes the column it chose
+                for (row, _), col in zip(stack, path + [c]):
+                    col_match[col] = row
+                break
+            path.append(c)
+            stack.append((col_match[c], 0))
+    return col_match
+
+
+def alternating_reach(
+    adj: Sequence[Sequence[int]],
+    col_match: Sequence[Optional[int]],
+    start_rows: Sequence[int],
+) -> tuple[list[bool], list[bool]]:
+    """Koenig's alternating reach from ``start_rows``: follow any allowed
+    column of a reached row, then the row matched to that column. Returns
+    the reached-row and reached-column flags; the sets are closures, so they
+    do not depend on the search order."""
+    reach_rows = [False] * len(adj)
+    reach_cols = [False] * len(col_match)
+    for r in start_rows:
+        reach_rows[r] = True
+    queue = list(start_rows)
+    while queue:
+        r = queue.pop()
+        for c in adj[r]:
+            if not reach_cols[c]:
+                reach_cols[c] = True
+                r2 = col_match[c]
+                if r2 is not None and not reach_rows[r2]:
+                    reach_rows[r2] = True
+                    queue.append(r2)
+    return reach_rows, reach_cols
+
+
 def max_bipartite_matching(p: ZeroPattern) -> MatchingResult:
     """Maximum matching rows -> columns via augmenting paths.
 
@@ -137,26 +204,12 @@ def max_bipartite_matching(p: ZeroPattern) -> MatchingResult:
     searches scan columns in ascending order, so the matching is a pure
     function of the pattern."""
     k = p.k
-    col_match: list[Optional[int]] = [None] * k
-
-    def try_augment(i: int, visited: list[bool]) -> bool:
-        for j in range(k):
-            if p.present[i][j] and not visited[j]:
-                visited[j] = True
-                if col_match[j] is None or try_augment(col_match[j], visited):
-                    col_match[j] = i
-                    return True
-        return False
-
-    size = 0
-    for i in range(k):
-        if try_augment(i, [False] * k):
-            size += 1
-
+    col_match = augmenting_matching([p.row_indices(i) for i in range(k)], k)
     row_match: list[Optional[int]] = [None] * k
     for j, i in enumerate(col_match):
         if i is not None:
             row_match[i] = j
+    size = k - row_match.count(None)
     return MatchingResult(size, tuple(row_match), size == k)
 
 
@@ -288,31 +341,20 @@ def maximal_zero_submatrix(p: ZeroPattern) -> SupportClass:
     for i in range(k):
         if not any(p.present[i]):
             raise ZeroRowError(f"row {i} is entirely zero")
-    m = max_bipartite_matching(p)
-    if m.perfect:
+    adj = [p.row_indices(i) for i in range(k)]
+    col_match = augmenting_matching(adj, k)
+    size = k - col_match.count(None)
+    if size == k:
         tag = "TotalSupport" if fid_skeleton(p).on_diagonal == p.present else "SupportOnly"
         return SupportClass(tag)
 
-    col_match: list[Optional[int]] = [None] * k
-    for i, j in enumerate(m.row_match):
-        if j is not None:
-            col_match[j] = i
-    # Koenig: alternate unmatched-row -> any present column -> its matched row.
-    reach_rows = [j is None for j in m.row_match]
-    reach_cols = [False] * k
-    queue = [i for i in range(k) if reach_rows[i]]
-    while queue:
-        i = queue.pop()
-        for j in range(k):
-            if p.present[i][j] and not reach_cols[j]:
-                reach_cols[j] = True
-                i2 = col_match[j]
-                if i2 is not None and not reach_rows[i2]:
-                    reach_rows[i2] = True
-                    queue.append(i2)
+    matched = set(col_match)
+    reach_rows, reach_cols = alternating_reach(
+        adj, col_match, [i for i in range(k) if i not in matched]
+    )
     witness_i = tuple(i for i in range(k) if reach_rows[i])
     witness_j = tuple(j for j in range(k) if not reach_cols[j])
-    assert len(witness_i) + len(witness_j) == 2 * k - m.size
+    assert len(witness_i) + len(witness_j) == 2 * k - size
     assert all(not p.present[i][j] for i in witness_i for j in witness_j)
     kappa = Fraction(len(witness_i) + len(witness_j) - k, k)
     return SupportClass("NoSupport", witness_i, witness_j, kappa)

@@ -35,7 +35,7 @@ from .normal_form import (
     pattern_of,
     symmetric_normal_form,
 )
-from .patterns import has_support, has_total_support, maximal_zero_submatrix
+from .patterns import has_support
 
 __all__ = [
     "canonical_json",
@@ -173,18 +173,17 @@ def classification_document(s) -> dict:
         "f": None,
     }
     if not has_support(p):
-        cls = maximal_zero_submatrix(p)
         form = no_support_normal_form(profile)
         doc["support_class"] = "NoSupport"
-        doc["kappa"] = fraction_str(cls.kappa)
+        doc["kappa"] = fraction_str(form.kappa)
         doc["block_dims"] = [int(x) for x in form.sizes]
         doc["permutation"] = [int(x) for x in form.perm]
         return doc
-    doc["support_class"] = (
-        "TotalSupport" if has_total_support(p) else "SupportOnly"
-    )
     nf = symmetric_normal_form(profile)
     rel = build_relation(nf)
+    # every present entry lies on a positive diagonal iff the profile is
+    # coupled only within partner blocks, i.e. the relation is empty
+    doc["support_class"] = "SupportOnly" if rel.edges else "TotalSupport"
     chain = longest_chain(rel)
     ex = index_exponents(rel)
     doc["L"] = nf.L

@@ -156,6 +156,14 @@ def test_exit_code_parse_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_exit_code_invalid_argument(arrow_file, capsys):
+    assert cli.main(["density", arrow_file, "--epsilon", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "epsilon" in captured.err
+
+
 def test_exit_code_zero_row(tmp_path, capsys):
     zed = tmp_path / "zed.csv"
     zed.write_text("1,0\n0,0\n")

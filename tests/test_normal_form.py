@@ -229,8 +229,60 @@ def test_no_support_form_random_matches_matching_bound():
         assert set(form.witness_i) <= set(form.witness_j)
 
 
+def _max_height_reference(s):
+    """Exhaustive reference for no_support_normal_form (2^K subsets).
+
+    Over every non-empty index set B, A is the set of rows of B with no
+    non-zero in the columns of B; keep the first B (in bit order) of maximal
+    perimeter |A| + |B| and, among those, of maximal |B|.  Returns (perm,
+    sizes, kappa, witness_i, witness_j) built as the library builds them."""
+    present = np.asarray(s) != 0
+    k = present.shape[0]
+    row_bits = [sum(1 << j for j in range(k) if present[i, j]) for i in range(k)]
+    best_b, best_a, best_perim = 0, 0, 0
+    for b in range(1, 1 << k):
+        a = 0
+        for i in range(k):
+            if (b >> i) & 1 and not (row_bits[i] & b):
+                a |= 1 << i
+        perim = b.bit_count() + a.bit_count()
+        if perim > best_perim or (
+            perim == best_perim and b.bit_count() > best_b.bit_count()
+        ):
+            best_b, best_a, best_perim = b, a, perim
+    set_a = [i for i in range(k) if (best_a >> i) & 1]
+    set_b = [i for i in range(k) if (best_b >> i) & 1]
+    block1 = [i for i in range(k) if i not in set_b]
+    block2 = [i for i in set_b if i not in set_a]
+    perm = tuple(block1 + block2 + set_a)
+    sizes = (len(block1), len(block2), len(set_a))
+    kappa = Fraction(best_perim - k, k)
+    return perm, sizes, kappa, tuple(set_a), tuple(set_b)
+
+
+def _form_tuple(form):
+    return form.perm, form.sizes, form.kappa, form.witness_i, form.witness_j
+
+
+def test_no_support_form_matches_max_height_reference():
+    rng = random.Random(53)
+    for _ in range(150):
+        k = rng.randint(3, 12)
+        prof, _ = _random_no_support_profile(rng, k, rng.choice([0.1, 0.15, 0.22, 0.3]))
+        expected = _max_height_reference(prof.entries)
+        assert _form_tuple(no_support_normal_form(prof)) == expected
+
+
+def test_no_support_form_zero_corner_k16_matches_reference():
+    s = np.ones((16, 16))
+    s[:9, :9] = 0.0
+    form = no_support_normal_form(s)
+    assert form.kappa == Fraction(1, 8)
+    assert _form_tuple(form) == _max_height_reference(s)
+
+
 def test_no_support_form_large_uses_repair_path():
-    # K > 16 exercises the Koenig-symmetrize-and-absorb branch
+    # K = 18 is past the exhaustive reference; check against the matching bound
     rng = random.Random(43)
     prof, pat = _random_no_support_profile(rng, 18, 0.055)
     form = no_support_normal_form(prof)

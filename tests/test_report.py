@@ -22,6 +22,34 @@ from specdens.report import (
 
 ARROW = [[1.0, 1.0], [1.0, 0.0]]
 NOSUPPORT3 = [[0.0, 0.0, 1.0], [0.0, 0.0, 1.0], [1.0, 1.0, 1.0]]
+CHAIN3 = [[1.0, 1.0, 1.0], [1.0, 1.0, 0.0], [1.0, 0.0, 0.0]]
+# 10 x 10 reference profile: three pairs, one middle block, chain length 4.
+REFERENCE = [[float(c) for c in row] for row in [
+    "0001100001",
+    "0011000111",
+    "0101000000",
+    "1111000100",
+    "1000000001",
+    "0000000001",
+    "0000001010",
+    "0101000001",
+    "0100001010",
+    "1100110100",
+]]
+
+
+def tridiagonal(k):
+    a = np.eye(k)
+    i = np.arange(k - 1)
+    a[i, i + 1] = a[i + 1, i] = 1.0
+    return a
+
+
+def zero_corner(k, z):
+    """All ones but a z x z zero corner: no support, kappa (2z - k) / k."""
+    a = np.ones((k, k))
+    a[:z, :z] = 0.0
+    return a
 
 
 # --- canonical JSON ---------------------------------------------------------------
@@ -128,6 +156,94 @@ def test_document_no_support_profile():
     assert doc["sigma"] is None
     assert doc["mask"] is None
     assert doc["block_dims"] is not None  # three-block decomposition sizes
+
+
+# Canonical documents pinned byte for byte.  Every value is an exact integer
+# or rational, so the strings do not depend on the platform.
+GOLDEN_DOCUMENTS = {
+    "arrow": (ARROW, (
+        '{"L": 0, "M": 1, "Q": 3, "block_dims": [1, 1], "f": ["-1/3", "1/3"], '
+        '"kappa": null, "longest_chain": {"length": 1, "witness": [0, 1]}, '
+        '"mask": [[1, 1], [1, 0]], "permutation": [0, 1], '
+        '"relation_edges": [[0, 1]], "schema": 1, "sigma": "1/3", '
+        '"support_class": "SupportOnly"}'
+    )),
+    "chain3": (CHAIN3, (
+        '{"L": 1, "M": 1, "Q": 2, "block_dims": [1, 1, 1], '
+        '"f": ["-1/2", "0/1", "1/2"], "kappa": null, '
+        '"longest_chain": {"length": 2, "witness": [0, 1, 2]}, '
+        '"mask": [[1, 1, 1], [1, 1, 0], [1, 0, 0]], "permutation": [0, 1, 2], '
+        '"relation_edges": [[0, 1], [0, 2], [1, 2]], "schema": 1, '
+        '"sigma": "1/2", "support_class": "SupportOnly"}'
+    )),
+    "ones3": (np.ones((3, 3)), (
+        '{"L": 1, "M": 0, "Q": 1, "block_dims": [3], "f": ["0/1"], '
+        '"kappa": null, "longest_chain": {"length": 0, "witness": [0]}, '
+        '"mask": [[1]], "permutation": [0, 1, 2], "relation_edges": [], '
+        '"schema": 1, "sigma": "0/1", "support_class": "TotalSupport"}'
+    )),
+    "reference": (REFERENCE, (
+        '{"L": 1, "M": 3, "Q": 6, "block_dims": [1, 2, 1, 2, 1, 2, 1], '
+        '"f": ["-2/3", "-1/3", "1/6", "0/1", "-1/6", "1/3", "2/3"], '
+        '"kappa": null, "longest_chain": {"length": 4, "witness": [0, 1, 3, 5, 6]}, '
+        '"mask": [[0, 1, 1, 0, 1, 1, 1], [1, 1, 0, 1, 1, 1, 0], '
+        '[1, 0, 0, 0, 1, 0, 0], [0, 1, 0, 1, 0, 0, 0], [1, 1, 1, 0, 0, 0, 0], '
+        '[1, 1, 0, 0, 0, 0, 0], [1, 0, 0, 0, 0, 0, 0]], '
+        '"permutation": [9, 1, 3, 4, 6, 8, 0, 2, 7, 5], '
+        '"relation_edges": [[0, 1], [0, 2], [0, 4], [0, 5], [1, 2], [1, 3], '
+        '[1, 5], [1, 6], [2, 6], [3, 5], [4, 5], [4, 6], [5, 6]], "schema": 1, '
+        '"sigma": "2/3", "support_class": "SupportOnly"}'
+    )),
+    "nosupport3": (NOSUPPORT3, (
+        '{"L": null, "M": null, "Q": null, "block_dims": [1, 0, 2], "f": null, '
+        '"kappa": "1/3", "longest_chain": null, "mask": null, '
+        '"permutation": [2, 0, 1], "relation_edges": null, "schema": 1, '
+        '"sigma": null, "support_class": "NoSupport"}'
+    )),
+    "zero_corner16": (zero_corner(16, 9), (
+        '{"L": null, "M": null, "Q": null, "block_dims": [7, 0, 9], "f": null, '
+        '"kappa": "1/8", "longest_chain": null, "mask": null, '
+        '"permutation": [9, 10, 11, 12, 13, 14, 15, 0, 1, 2, 3, 4, 5, 6, 7, 8], '
+        '"relation_edges": null, "schema": 1, "sigma": null, '
+        '"support_class": "NoSupport"}'
+    )),
+    "zero_diagonal_path12": (tridiagonal(12) - np.eye(12), (
+        '{"L": 0, "M": 6, "Q": 7, '
+        '"block_dims": [1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1], '
+        '"f": ["-5/7", "-3/7", "-1/7", "1/7", "3/7", "5/7", '
+        '"-5/7", "-3/7", "-1/7", "1/7", "3/7", "5/7"], "kappa": null, '
+        '"longest_chain": {"length": 5, "witness": [0, 1, 2, 3, 4, 5]}, '
+        '"mask": [[0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1], '
+        '[0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 0], '
+        '[0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 0, 0], '
+        '[0, 0, 0, 0, 0, 0, 0, 1, 1, 0, 0, 0], '
+        '[0, 0, 0, 0, 0, 0, 1, 1, 0, 0, 0, 0], '
+        '[0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0], '
+        '[0, 0, 0, 0, 1, 1, 0, 0, 0, 0, 0, 0], '
+        '[0, 0, 0, 1, 1, 0, 0, 0, 0, 0, 0, 0], '
+        '[0, 0, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0], '
+        '[0, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0], '
+        '[1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0], '
+        '[1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]], '
+        '"permutation": [1, 3, 5, 7, 9, 11, 10, 8, 6, 4, 2, 0], '
+        '"relation_edges": [[0, 1], [1, 2], [2, 3], [3, 4], [4, 5], [6, 7], '
+        '[7, 8], [8, 9], [9, 10], [10, 11]], "schema": 1, "sigma": "5/7", '
+        '"support_class": "SupportOnly"}'
+    )),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_DOCUMENTS))
+def test_document_golden_bytes(name):
+    profile, expected = GOLDEN_DOCUMENTS[name]
+    assert canonical_json(classification_document(profile)) == expected
+
+
+def test_document_long_tridiagonal():
+    # augmenting paths as long as the profile: no recursion limit applies
+    doc = classification_document(tridiagonal(1500))
+    assert doc["support_class"] == "TotalSupport"
+    assert doc["sigma"] == "0/1"
 
 
 # --- CSV --------------------------------------------------------------------------
