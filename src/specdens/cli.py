@@ -218,7 +218,7 @@ def _add_mc_flags(parser) -> None:
     parser.add_argument("--seed", type=int, default=20240,
                         help="master seed (default 20240)")
     parser.add_argument("--threads", type=int, default=None,
-                        help="worker threads (default: executor choice)")
+                        help="worker threads (default: usable cores)")
 
 
 def _add_eta_flags(parser) -> None:

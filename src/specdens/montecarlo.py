@@ -13,14 +13,24 @@ compared against this prediction.
 Sampling is reproducible bit for bit: trial ``(t)`` at size index ``(i)``
 uses a counter-based generator seeded from ``[master_seed, i, t]``, so the
 result is independent of the number of worker threads, and all reductions
-run in index order.
+run in index order.  A sweep runs its trials on a thread pool sized to the
+usable cores and pins numpy's bundled OpenBLAS to one thread while it runs,
+so the pool does not oversubscribe the cores and every eigenvalue
+computation takes the same single-threaded path whatever the process's
+BLAS thread count.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
+import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -44,9 +54,11 @@ class EnsembleConfig:
     """Plan for a smallest-singular-value sweep.
 
     ``sizes`` are per-block sizes ``n`` (matrix dimension is ``n * K``);
-    ``trials`` independent samples are drawn per size; ``workers`` caps the
+    ``trials`` independent samples are drawn per size; ``workers`` sizes the
     thread pool (the eigensolver releases the interpreter lock, so threads
-    scale; determinism does not depend on the worker count)."""
+    scale; determinism does not depend on the worker count).  ``None``
+    means the number of usable cores, or one worker when the OpenBLAS
+    thread count cannot be set (BLAS then keeps its own threads)."""
 
     profile: object
     sizes: tuple[int, ...]
@@ -85,6 +97,27 @@ def _trial_rng(master_seed: int, size_index: int, trial: int) -> np.random.Gener
     return np.random.Generator(np.random.Philox(seq))
 
 
+def _scale_mask(profile, n: int) -> np.ndarray:
+    """Entry standard deviations ``sqrt(s[block(i), block(j)] / N)``."""
+    dim = n * profile.k
+    return np.sqrt(np.kron(profile.entries, np.ones((n, n))) / dim)
+
+
+def _sample(scale: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """One Hermitian sample with entry standard deviations ``scale``.  The
+    in-place steps round exactly like ``scale * ((a + a^H) / sqrt 2)`` with
+    ``a = (x + iy) / sqrt 2``, without its temporaries."""
+    dim = scale.shape[0]
+    x = rng.standard_normal((dim, dim))
+    y = rng.standard_normal((dim, dim))
+    a = x + 1j * y
+    a /= math.sqrt(2.0)
+    b = a + a.conj().T
+    b /= math.sqrt(2.0)
+    b *= scale
+    return b
+
+
 def sample_block_hermitian(s, n: int, rng: np.random.Generator) -> np.ndarray:
     """One Hermitian sample of dimension ``N = n * K``.
 
@@ -94,14 +127,7 @@ def sample_block_hermitian(s, n: int, rng: np.random.Generator) -> np.ndarray:
     profile = as_profile(s)
     if n < 1:
         raise ValueError("block size n must be positive")
-    k = profile.k
-    dim = n * k
-    x = rng.standard_normal((dim, dim))
-    y = rng.standard_normal((dim, dim))
-    a = (x + 1j * y) / math.sqrt(2.0)
-    b = (a + a.conj().T) / math.sqrt(2.0)
-    scale = np.sqrt(np.kron(profile.entries, np.ones((n, n))) / dim)
-    return scale * b
+    return _sample(_scale_mask(profile, n), rng)
 
 
 def _checked_eigenvalues(h: np.ndarray) -> np.ndarray:
@@ -156,35 +182,104 @@ def _predicted_slope(profile) -> float | None:
     return -1.0 / (1.0 - float(sigma))
 
 
+# Runtime thread-count symbols of the OpenBLAS builds numpy wheels bundle.
+_BLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+# Held from saving the BLAS thread count to restoring it, so that two
+# concurrent sweeps cannot restore each other's count mid-run.
+_BLAS_LOCK = threading.Lock()
+
+
+@functools.cache
+def _blas_threads():
+    """Getter and setter of numpy's bundled OpenBLAS thread count, or None
+    when the library or its symbols cannot be found.  Looked up on the
+    first sweep, not on import."""
+    root = Path(np.__file__).resolve().parent
+    for libdir in (root.parent / "numpy.libs", root / ".dylibs"):
+        for path in sorted(libdir.glob("*openblas*")):
+            try:
+                lib = ctypes.CDLL(str(path))
+            except OSError:
+                continue
+            for get_name, set_name in _BLAS_THREAD_SYMBOLS:
+                getter = getattr(lib, get_name, None)
+                setter = getattr(lib, set_name, None)
+                if getter is None or setter is None:
+                    continue
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                return getter, setter
+    return None
+
+
+@contextmanager
+def _one_blas_thread(control):
+    """Run the body with the OpenBLAS thread count set to one, restoring the
+    previous count afterwards, also when the body raises.  ``control`` is
+    the result of ``_blas_threads``; None leaves BLAS alone."""
+    if control is None:
+        yield
+        return
+    getter, setter = control
+    with _BLAS_LOCK:
+        saved = getter()
+        setter(1)
+        try:
+            yield
+        finally:
+            setter(saved)
+
+
+def _usable_cores() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_sweep(config: EnsembleConfig) -> SweepReport:
     """Run the full sweep described by ``config`` and fit the scaling law.
 
-    Trials run on a thread pool but are seeded per ``(size, trial)`` and
-    reduced in index order, so the report is identical for any worker
-    count."""
+    Trials run on a thread pool (by default one worker per usable core)
+    with OpenBLAS pinned to one thread, are seeded per ``(size, trial)``
+    and reduced in index order, so the report is identical for any worker
+    count and any BLAS thread count.  When the OpenBLAS thread count
+    cannot be set, the default pool has one worker and BLAS keeps its own
+    threads."""
     profile = as_profile(config.profile)
     sizes = tuple(int(n) for n in config.sizes)
     if not sizes or any(n < 1 for n in sizes):
         raise ValueError("sizes must be positive integers")
     if config.trials < 2:
         raise ValueError("need at least two trials per size")
+    if config.workers is not None and config.workers < 1:
+        raise ValueError("workers must be a positive integer")
     k = profile.k
     dims = tuple(n * k for n in sizes)
+    control = _blas_threads()
+    workers = config.workers
+    if workers is None:
+        workers = 1 if control is None else _usable_cores()
 
-    def one(size_index: int, trial: int) -> tuple[float, float]:
+    def one(scale: np.ndarray, size_index: int, trial: int):
         rng = _trial_rng(config.master_seed, size_index, trial)
-        h = sample_block_hermitian(profile, sizes[size_index], rng)
-        w = np.abs(_checked_eigenvalues(h))
+        w = np.abs(_checked_eigenvalues(_sample(scale, rng)))
         small = float(w.min())
         cond = math.inf if small == 0.0 else float(w.max()) / small
         return small, cond
 
     smin = np.empty((len(sizes), config.trials))
     cond = np.empty_like(smin)
-    with ThreadPoolExecutor(max_workers=config.workers) as pool:
-        for i in range(len(sizes)):
+    # The pool is shut down (every trial finished) before BLAS is restored.
+    with _one_blas_thread(control), ThreadPoolExecutor(workers) as pool:
+        for i, n in enumerate(sizes):
+            scale = _scale_mask(profile, n)
             futures = [
-                pool.submit(one, i, t) for t in range(config.trials)
+                pool.submit(one, scale, i, t) for t in range(config.trials)
             ]
             for t, fut in enumerate(futures):
                 smin[i, t], cond[i, t] = fut.result()

@@ -497,6 +497,28 @@ def _verify_no_support_form(profile: VarianceProfile, form: NoSupportForm) -> No
 # --- block relation and chains ------------------------------------------------------
 
 
+def _topological_order(n: int, edges) -> tuple[list[int], list[list[int]]]:
+    """Kahn order of the vertices ``0 .. n-1`` under ``edges`` and the
+    successor lists.  Raises CyclicRelationError if there is a cycle."""
+    succ: list[list[int]] = [[] for _ in range(n)]
+    indeg = [0] * n
+    for i, j in edges:
+        succ[i].append(j)
+        indeg[j] += 1
+    order = [i for i in range(n) if indeg[i] == 0]
+    head = 0
+    while head < len(order):
+        i = order[head]
+        head += 1
+        for j in succ[i]:
+            indeg[j] -= 1
+            if indeg[j] == 0:
+                order.append(j)
+    if len(order) != n:
+        raise CyclicRelationError("block relation contains a cycle")
+    return order, succ
+
+
 def build_relation(nf: NormalForm) -> BlockRelation:
     """Strict precedence between blocks: i precedes j iff i != j and the
     mask couples block i to the partner of block j. Raises
@@ -510,21 +532,7 @@ def build_relation(nf: NormalForm) -> BlockRelation:
         for j in range(n)
         if i != j and nf.mask[i, partner[j]]
     )
-    succ = {i: [j for (a, j) in edges if a == i] for i in range(n)}
-    indeg = {i: 0 for i in range(n)}
-    for _, j in edges:
-        indeg[j] += 1
-    order = [i for i in range(n) if indeg[i] == 0]
-    head = 0
-    while head < len(order):
-        i = order[head]
-        head += 1
-        for j in succ[i]:
-            indeg[j] -= 1
-            if indeg[j] == 0:
-                order.append(j)
-    if len(order) != n:
-        raise CyclicRelationError("block relation contains a cycle")
+    _topological_order(n, edges)
 
     firsts = [i for i in range(n) if not any(a == i for _, a in edges)]
     lasts = [i for i in range(n) if not any(a == i for a, _ in edges)]
@@ -536,20 +544,14 @@ def build_relation(nf: NormalForm) -> BlockRelation:
 
 def longest_chain(rel: BlockRelation) -> ChainResult:
     """Longest chain (edge count) of the strict block relation, with the
-    lexicographically smallest witness path."""
-    n = rel.n
-    succ = {i: sorted(j for (a, j) in rel.edges if a == i) for i in range(n)}
-    depth: dict[int, int] = {}
-
-    def compute(v: int) -> int:
-        if v not in depth:
-            depth[v] = max((compute(u) + 1 for u in succ[v]), default=0)
-        return depth[v]
-
-    for v in range(n):
-        compute(v)
-    length = max(depth.values())
-    start = min(v for v in range(n) if depth[v] == length)
+    lexicographically smallest witness path.  Raises CyclicRelationError if
+    the relation has a cycle."""
+    order, succ = _topological_order(rel.n, rel.edges)
+    depth = [0] * rel.n
+    for v in reversed(order):
+        depth[v] = max((depth[u] + 1 for u in succ[v]), default=0)
+    length = max(depth)
+    start = depth.index(length)
     witness = [start]
     while depth[witness[-1]] > 0:
         v = witness[-1]

@@ -164,6 +164,15 @@ def test_exit_code_invalid_argument(arrow_file, capsys):
     assert "epsilon" in captured.err
 
 
+def test_exit_code_invalid_thread_count(arrow_file, capsys):
+    assert cli.main(["simulate", arrow_file, "--sizes", "4,8", "--trials", "2",
+                     "--threads", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "workers must be a positive integer" in captured.err
+
+
 def test_exit_code_zero_row(tmp_path, capsys):
     zed = tmp_path / "zed.csv"
     zed.write_text("1,0\n0,0\n")

@@ -1,10 +1,16 @@
 """Tests for the random-matrix sampler and the scaling-law sweep."""
 
 import math
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from specdens import montecarlo
 from specdens.errors import EigFailureError, SingularMatrixError
 from specdens.montecarlo import (
     EnsembleConfig,
@@ -15,11 +21,38 @@ from specdens.montecarlo import (
 )
 
 ARROW = np.array([[1.0, 1.0], [1.0, 0.0]])
+CHAIN3 = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
 NOSUPPORT3 = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0], [1.0, 1.0, 1.0]])
 
 
 def _rng(*seed):
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(list(seed))))
+
+
+def _reference_sample(s, n, rng):
+    # The sampler as one expression, with every temporary; the library's
+    # in-place version must reproduce it bit for bit.
+    entries = np.asarray(s, dtype=float)
+    dim = n * entries.shape[0]
+    x = rng.standard_normal((dim, dim))
+    y = rng.standard_normal((dim, dim))
+    a = (x + 1j * y) / math.sqrt(2.0)
+    b = (a + a.conj().T) / math.sqrt(2.0)
+    scale = np.sqrt(np.kron(entries, np.ones((n, n))) / dim)
+    return scale * b
+
+
+@pytest.fixture
+def blas():
+    """Getter and setter of the OpenBLAS thread count; the count is
+    restored after the test."""
+    control = montecarlo._blas_threads()
+    if control is None:
+        pytest.skip("the OpenBLAS thread count cannot be set")
+    getter, setter = control
+    saved = getter()
+    yield getter, setter
+    setter(saved)
 
 
 # --- sampling ---------------------------------------------------------------------
@@ -44,6 +77,16 @@ def test_sample_is_bitwise_reproducible():
     assert np.array_equal(h1, h2)
     h3 = sample_block_hermitian(ARROW, 12, _rng(3, 5))
     assert not np.array_equal(h1, h3)
+
+
+@pytest.mark.parametrize("s", [ARROW, CHAIN3, [[1.0]]], ids=["arrow", "chain3", "scalar"])
+def test_sample_matches_reference_bitwise(s):
+    for n in (1, 7, 32):
+        for seed in (0, 5):
+            expected = _reference_sample(s, n, _rng(seed, n))
+            h = sample_block_hermitian(s, n, _rng(seed, n))
+            assert np.array_equal(h, expected)
+            assert np.array_equal(np.signbit(h.imag), np.signbit(expected.imag))
 
 
 def test_sample_norm_matches_semicircle_edge():
@@ -96,6 +139,98 @@ def test_sweep_is_deterministic_across_worker_counts():
     assert r1.slope == r4.slope
 
 
+def test_sweep_is_bitwise_identical_across_workers_and_blas_threads(blas):
+    # At dim 256 a 2-thread eigensolver rounds differently from a 1-thread
+    # one, so this holds only because the sweep pins BLAS to one thread.
+    getter, setter = blas
+    results = []
+    for threads in (1, 2):
+        for workers in (1, 2):
+            setter(threads)
+            cfg = EnsembleConfig(ARROW, (128, 64), trials=2, master_seed=7, workers=workers)
+            results.append(run_sweep(cfg).smin)
+            assert getter() == threads
+    for smin in results[1:]:
+        assert np.array_equal(smin, results[0])
+
+
+def test_sweep_restores_blas_threads_when_a_trial_raises(blas, monkeypatch):
+    getter, setter = blas
+
+    def fail(h):
+        raise EigFailureError("injected failure")
+
+    monkeypatch.setattr(montecarlo, "_checked_eigenvalues", fail)
+    setter(2)
+    with pytest.raises(EigFailureError, match="injected"):
+        run_sweep(EnsembleConfig(ARROW, (8, 16), trials=4, workers=2))
+    assert getter() == 2
+    assert not montecarlo._BLAS_LOCK.locked()
+
+
+def test_concurrent_sweeps_match_serial_and_restore_blas(blas):
+    # Four sweeps on more threads than cores, with frequent thread switches:
+    # a sweep that restored another's saved count would leave the process
+    # at one BLAS thread, or let a trial run on two.
+    getter, setter = blas
+    setter(2)
+    cfg = EnsembleConfig(ARROW, (64, 32), trials=4, master_seed=11)
+    expected = run_sweep(cfg).smin
+    results = [None] * 4
+
+    def work(slot):
+        results[slot] = run_sweep(cfg).smin
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for smin in results:
+        assert smin is not None and np.array_equal(smin, expected)
+    assert getter() == 2
+
+
+def test_sweep_default_pool_size(monkeypatch):
+    sizes = []
+    executor = montecarlo.ThreadPoolExecutor
+
+    def spy(max_workers):
+        sizes.append(max_workers)
+        return executor(max_workers=max_workers)
+
+    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", spy)
+    cfg = EnsembleConfig(ARROW, (8, 16), trials=3, master_seed=5)
+    expected = run_sweep(cfg).smin
+    if montecarlo._blas_threads() is not None:
+        assert sizes == [len(os.sched_getaffinity(0))]
+    # Without a BLAS thread setter the pool falls back to one worker.
+    monkeypatch.setattr(montecarlo, "_blas_threads", lambda: None)
+    sizes.clear()
+    assert np.array_equal(run_sweep(cfg).smin, expected)
+    assert sizes == [1]
+
+
+def test_import_does_not_look_up_blas():
+    code = (
+        "import specdens, specdens.montecarlo as m; "
+        "print(m._blas_threads.cache_info().currsize)"
+    )
+    src = str(Path(montecarlo.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        check=True, timeout=60, env=env,
+    ).stdout
+    assert out.strip() == "0"
+
+
 def test_sweep_report_contents():
     rep = run_sweep(EnsembleConfig(ARROW, (8, 16), trials=5, master_seed=1))
     assert rep.dims == (16, 32)
@@ -126,3 +261,5 @@ def test_sweep_validates_config():
         run_sweep(EnsembleConfig(ARROW, (), trials=5))
     with pytest.raises(ValueError):
         run_sweep(EnsembleConfig(ARROW, (8,), trials=1))
+    with pytest.raises(ValueError, match="workers must be a positive integer"):
+        run_sweep(EnsembleConfig(ARROW, (8,), trials=5, workers=0))

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from specdens.errors import (
+    CyclicRelationError,
     HasSupportError,
     NegativeEntryError,
     NoSupportError,
@@ -347,6 +348,25 @@ def test_relation_big_example_canonical():
     ch = longest_chain(rel)
     assert ch.length == 4
     assert ch.witness == (0, 1, 3, 5, 6)
+
+
+def test_longest_chain_of_a_1200_block_path():
+    n = 1200
+    rel = BlockRelation(
+        n,
+        tuple(range(n)),
+        frozenset((i, i + 1) for i in range(n - 1)),
+        frozenset({(-1, 0), (n - 1, n)}),
+    )
+    ch = longest_chain(rel)
+    assert ch.length == n - 1
+    assert ch.witness == tuple(range(n))
+
+
+def test_longest_chain_rejects_a_cycle():
+    rel = BlockRelation(2, (1, 0), frozenset({(0, 1), (1, 0)}), frozenset())
+    with pytest.raises(CyclicRelationError):
+        longest_chain(rel)
 
 
 def test_relation_mirror_symmetry():
