@@ -50,10 +50,12 @@ from .errors import (
     ZeroRowError,
 )
 from .minmax import (
+    Analysis,
     BoundaryProblem,
     ExponentSolution,
     IndexExponents,
     StabilityReport,
+    analyze,
     fixed_point_oracle,
     index_exponents,
     relation_problem,

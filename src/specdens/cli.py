@@ -12,7 +12,7 @@ Commands
 * ``report``    — one JSON document bundling classification, scaling fit,
   limiting weights and constraint residuals (optionally the Monte Carlo
   sweep); numeric sections that fail carry an ``error`` entry instead of
-  aborting the document.
+  aborting the document.  The profile is classified once for all sections.
 
 Profiles are read from CSV (K lines of K comma-separated decimals) or JSON
 ``{"K": int, "entries": [[...]]}``.  Data goes to stdout, logs to stderr.
@@ -46,6 +46,7 @@ from .errors import (
     StructureViolationError,
     ZeroRowError,
 )
+from .minmax import analyze
 from .montecarlo import EnsembleConfig, run_sweep
 from .report import (
     canonical_json,
@@ -125,14 +126,29 @@ def _cmd_classify(args) -> int:
     return EXIT_OK
 
 
-def _cmd_scaling(args) -> int:
-    profile = _load_profile(args.profile)
-    fit = empirical_exponents(
-        profile,
+def _fit(s, args):
+    return empirical_exponents(
+        s,
         eta_min=args.eta_min,
         eta_max=args.eta_max,
         points_per_decade=args.per_decade,
     )
+
+
+def _sweep(s, args):
+    return run_sweep(
+        EnsembleConfig(
+            s,
+            sizes=_parse_sizes(args.sizes),
+            trials=args.trials,
+            master_seed=args.seed,
+            workers=args.threads,
+        )
+    )
+
+
+def _cmd_scaling(args) -> int:
+    fit = _fit(_load_profile(args.profile), args)
     sys.stdout.write(scaling_table_csv(fit))
     if fit.max_deviation > args.tolerance:
         print(
@@ -153,15 +169,7 @@ def _cmd_density(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    profile = _load_profile(args.profile)
-    cfg = EnsembleConfig(
-        profile,
-        sizes=_parse_sizes(args.sizes),
-        trials=args.trials,
-        master_seed=args.seed,
-        workers=args.threads,
-    )
-    rep = run_sweep(cfg)
+    rep = _sweep(_load_profile(args.profile), args)
     sys.stdout.write(sweep_csv(rep))
     predicted = (
         "none" if rep.predicted_slope is None else f"{rep.predicted_slope:.6g}"
@@ -171,21 +179,15 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    profile = _load_profile(args.profile)
-    doc = classification_document(profile)
-    if doc["kappa"] is None:  # the profile has support
+    an = analyze(_load_profile(args.profile))
+    doc = classification_document(an)
+    if an.nf is not None:  # the profile has support
         try:
-            fit = empirical_exponents(
-                profile,
-                eta_min=args.eta_min,
-                eta_max=args.eta_max,
-                points_per_decade=args.per_decade,
-            )
-            doc["scaling_fit"] = scaling_section(fit)
+            doc["scaling_fit"] = scaling_section(_fit(an, args))
         except Exception as exc:  # report sections degrade, never abort
             doc["scaling_fit"] = {"error": str(exc)}
         try:
-            data = limit_weights(profile)
+            data = limit_weights(an)
             doc["limit_weights"] = weights_section(data)
             doc["residuals"] = residuals_section(rescaled_residuals(data))
         except Exception as exc:
@@ -193,16 +195,7 @@ def _cmd_report(args) -> int:
             doc["residuals"] = {"error": str(exc)}
     if args.with_mc or args.all:
         try:
-            rep = run_sweep(
-                EnsembleConfig(
-                    profile,
-                    sizes=_parse_sizes(args.sizes),
-                    trials=args.trials,
-                    master_seed=args.seed,
-                    workers=args.threads,
-                )
-            )
-            doc["sweep"] = sweep_section(rep)
+            doc["sweep"] = sweep_section(_sweep(an, args))
         except Exception as exc:
             doc["sweep"] = {"error": str(exc)}
     print(canonical_json(doc))

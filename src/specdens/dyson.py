@@ -24,6 +24,10 @@ the random-matrix ensemble with variance profile ``S``.  This module
 * computes density quantiles together with the predicted finite-size
   scaling slope of the smallest singular value.
 
+The functions that need the exact classification read it from
+:func:`~specdens.minmax.analyze` and also take its result in place of a
+profile.
+
 Throughout, averages are normalized: ``<x>`` is the arithmetic mean over
 the indices involved, and block inner products carry a ``1/dim`` factor.
 """
@@ -42,18 +46,12 @@ from .errors import (
     ImaginarySignLostError,
     NonConvergenceError,
     NonPositiveInputError,
+    NoSupportError,
     ZeroRowError,
 )
-from .minmax import IndexExponents, index_exponents
-from .normal_form import (
-    NormalForm,
-    VarianceProfile,
-    as_profile,
-    build_relation,
-    pattern_of,
-    symmetric_normal_form,
-)
-from .patterns import fid_skeleton, has_support, maximal_zero_submatrix
+from .minmax import Analysis, IndexExponents, analyze
+from .normal_form import BlockRelation, NormalForm, as_profile, pattern_of
+from .patterns import fid_skeleton
 
 __all__ = [
     "AxisSolution",
@@ -150,8 +148,9 @@ class RescaledData:
     where ``s0`` keeps exactly the anti-diagonal pair blocks (equivalently:
     the entries of the permuted profile lying on positive diagonals), and
     ``s1`` keeps, for each block ``i``, the couplings to the partners of
-    its slowest-growing direct successors (``succ_sets[i]``).  The rational
-    rates ``h_i > 0`` satisfy ``h_i = h_{partner(i)}`` exactly.
+    its slowest-growing direct successors (``succ_sets[i]``) in
+    ``relation``.  The rational rates ``h_i > 0`` satisfy ``h_i =
+    h_{partner(i)}`` exactly.
 
     ``w`` (when set by :func:`limit_weights`) approximates the positive
     limit of ``eta**f * v(eta)`` and satisfies ``w * (s0 @ w) = 1`` up to
@@ -159,6 +158,7 @@ class RescaledData:
 
     nf: NormalForm
     exponents: IndexExponents
+    relation: BlockRelation
     s0: np.ndarray
     s1: np.ndarray
     h: tuple[Fraction, ...]
@@ -560,6 +560,14 @@ def variational_value(s, x, eta: float) -> float:
 # --- empirical power laws ---------------------------------------------------------
 
 
+def _supported(s) -> Analysis:
+    """:func:`analyze` of ``s``; NoSupportError without a positive diagonal."""
+    an = analyze(s)
+    if an.nf is None:
+        raise NoSupportError("pattern has no positive diagonal")
+    return an
+
+
 def _geometric_grid(eta_max: float, eta_min: float, points_per_decade: int):
     if not (0 < eta_min < eta_max):
         raise ValueError("need 0 < eta_min < eta_max")
@@ -585,9 +593,8 @@ def empirical_exponents(
     largest absolute gap between fitted and predicted slopes.  The fit
     converges only logarithmically in ``eta``, so wide grids (several
     decades) are required for tight comparisons."""
-    profile = as_profile(s)
-    nf = symmetric_normal_form(profile)
-    ex = index_exponents(build_relation(nf))
+    an = _supported(s)
+    profile, nf, ex = an.profile, an.nf, an.exponents
     etas = _geometric_grid(eta_max, eta_min, points_per_decade)
     n_blocks = nf.n_blocks
     block_orig = [
@@ -638,10 +645,8 @@ def rescaled_profile(s) -> RescaledData:
 
     (with the conventions min over the empty set = 1, max = -1), and
     ``h_i = h_{partner(i)}``."""
-    profile = as_profile(s)
-    nf = symmetric_normal_form(profile)
-    rel = build_relation(nf)
-    ex = index_exponents(rel)
+    an = _supported(s)
+    nf, rel, ex = an.nf, an.relation, an.exponents
     n = nf.n_blocks
     partner = [nf.partner(i) for i in range(n)]
     succs = [sorted(j for (i, j) in rel.edges if i == b) for b in range(n)]
@@ -690,6 +695,7 @@ def rescaled_profile(s) -> RescaledData:
     return RescaledData(
         nf=nf,
         exponents=ex,
+        relation=rel,
         s0=s0,
         s1=s1,
         h=tuple(h),
@@ -697,41 +703,32 @@ def rescaled_profile(s) -> RescaledData:
     )
 
 
-def _per_index_exponents(data: RescaledData) -> np.ndarray:
-    """Block exponents expanded to one float per permuted index."""
-    out = np.empty(sum(data.nf.dims))
-    for b in range(data.nf.n_blocks):
-        out[list(data.nf.block_indices(b))] = float(data.exponents.f[b])
-    return out
-
-
 def limit_weights(
     s,
     *,
     eta_pair: tuple[float, float] = (2e-12, 1e-12),
     tol: float = 1e-13,
-    data: RescaledData | None = None,
 ) -> RescaledData:
     """Extrapolate the positive limit ``w = lim eta**f * v(eta)``.
 
     The rescaled solution is analytic in ``omega = eta**(1/Q)`` near zero,
     so a two-point linear extrapolation in ``omega`` from the pair of
     points ``eta_pair`` (descending) removes the leading correction; the
-    remaining error is of order ``omega_1 * omega_2``.  Returns a copy of
-    ``data`` (computed if not supplied) with ``w``, ``w_residual`` (the
+    remaining error is of order ``omega_1 * omega_2``.  Returns the
+    :func:`rescaled_profile` data of ``s`` with ``w``, ``w_residual`` (the
     max-norm of ``w * (s0 @ w) - 1``) and ``eta_pair`` filled in."""
-    profile = as_profile(s)
-    if data is None:
-        data = rescaled_profile(profile)
+    an = analyze(s)
+    data = rescaled_profile(an)
     e1, e2 = (float(eta_pair[0]), float(eta_pair[1]))
     if not (e1 > e2 > 0):
         raise ValueError("eta_pair must be two descending positive values")
     perm = list(data.nf.perm)
-    f_idx = _per_index_exponents(data)
+    # blocks are contiguous in the permuted order: one exponent per index
+    f_idx = np.repeat([float(f) for f in data.exponents.f], data.nf.dims)
     q = data.exponents.Q
 
-    sol1 = solve_imaginary_axis(profile, e1, tol=tol)
-    sol2 = solve_imaginary_axis(profile, e2, tol=tol, start=sol1.v)
+    sol1 = solve_imaginary_axis(an.profile, e1, tol=tol)
+    sol2 = solve_imaginary_axis(an.profile, e2, tol=tol, start=sol1.v)
     x1 = sol1.v[perm] * e1**f_idx
     x2 = sol2.v[perm] * e2**f_idx
     w1, w2 = e1 ** (1.0 / q), e2 ** (1.0 / q)
@@ -775,8 +772,7 @@ def rescaled_residuals(data: RescaledData) -> RescaledResiduals:
         r = r - (e @ r) / (e @ e) * e
     f0_res = float(np.max(np.abs(r))) if k else 0.0
 
-    rel = build_relation(nf)
-    has_pred = {j for (_, j) in rel.edges}
+    has_pred = {j for (_, j) in data.relation.edges}
     sw = data.s1 @ w
     fl = []
     for l in range(m_pairs):
@@ -811,24 +807,23 @@ def atom_mass_estimate(
     (|I| + |J| - K) / K of a maximal all-zero submatrix; the numeric value
     is taken at the smallest point of the descending ``eta_grid``.  Raises
     HasSupportError when the pattern has support (no atom at zero)."""
-    profile = as_profile(s)
-    p = pattern_of(profile)
-    if has_support(p):
+    an = analyze(s)
+    if an.nf is not None:
         raise HasSupportError(
             "profile pattern has support: the density has no atom at zero"
         )
-    cls = maximal_zero_submatrix(p)
+    kappa = an.no_support.kappa
     etas = tuple(sorted((float(e) for e in eta_grid), reverse=True))
     if not etas or etas[-1] <= 0:
         raise ValueError("eta_grid must contain positive values")
     estimates = []
     v_prev = None
     for eta in etas:
-        sol = solve_imaginary_axis(profile, eta, tol=tol, start=v_prev)
+        sol = solve_imaginary_axis(an.profile, eta, tol=tol, start=v_prev)
         v_prev = sol.v
         estimates.append(eta * float(sol.v.mean()))
     return AtomMass(
-        kappa_exact=cls.kappa,
+        kappa_exact=kappa,
         kappa_numeric=estimates[-1],
         eta_grid=etas,
         estimates=tuple(estimates),

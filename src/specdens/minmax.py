@@ -14,16 +14,18 @@ of a normal form they are exact rationals, the block scaling exponents of
 the associated self-consistent Dyson equation.
 
 The module also provides an independent fixed-point iteration for
-cross-checking, and a quantitative perturbation check for the averaging
-property.
+cross-checking, a quantitative perturbation check for the averaging
+property, and :func:`analyze`, the exact classification of a profile that
+every consumer reads.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
 from .errors import (
     BadBoundaryError,
@@ -31,7 +33,12 @@ from .errors import (
     NotDAGError,
     PreconditionViolatedError,
 )
-from .normal_form import BlockRelation, longest_chain
+from .normal_form import (
+    BlockRelation, ChainResult, NoSupportForm, NormalForm, VarianceProfile,
+    as_profile, build_relation, longest_chain, no_support_normal_form,
+    pattern_of, symmetric_normal_form,
+)
+from .patterns import has_support
 
 __all__ = [
     "Rational",
@@ -46,6 +53,8 @@ __all__ = [
     "stability_check",
     "relation_problem",
     "index_exponents",
+    "Analysis",
+    "analyze",
 ]
 
 Rational = Fraction
@@ -481,3 +490,45 @@ def index_exponents(rel: BlockRelation) -> IndexExponents:
         )
     q = math.lcm(*(fi.denominator for fi in f))
     return IndexExponents(f, sigma, q)
+
+
+# --- one analysis per profile --------------------------------------------------------
+
+
+@dataclass(frozen=True, eq=False)
+class Analysis:
+    """Exact classification of one profile, built by :func:`analyze`.
+
+    ``support_class`` is "NoSupport", "SupportOnly" or "TotalSupport".  With
+    support, ``nf``, ``relation``, ``chain`` and ``exponents`` hold the
+    normal form, its block relation, longest chain and block exponents;
+    without, they are None and ``no_support`` is the three-block splitting,
+    built on first use (a profile with a zero row has none, ZeroRowError,
+    yet it can still be sampled)."""
+
+    profile: VarianceProfile
+    support_class: str
+    nf: NormalForm | None = None
+    relation: BlockRelation | None = None
+    chain: ChainResult | None = None
+    exponents: IndexExponents | None = None
+
+    @functools.cached_property
+    def no_support(self) -> NoSupportForm:
+        return no_support_normal_form(self.profile)
+
+
+def analyze(s) -> Analysis:
+    """Classify a profile once; ``s`` itself when it is already an Analysis.
+
+    Every present entry lies on a positive diagonal iff the profile is
+    coupled only within partner blocks, i.e. the relation is empty."""
+    if isinstance(s, Analysis):
+        return s
+    profile = as_profile(s)
+    if not has_support(pattern_of(profile)):
+        return Analysis(profile, "NoSupport")
+    nf = symmetric_normal_form(profile)
+    rel = build_relation(nf)
+    support = "SupportOnly" if rel.edges else "TotalSupport"
+    return Analysis(profile, support, nf, rel, longest_chain(rel), index_exponents(rel))

@@ -35,9 +35,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import EigFailureError, SingularMatrixError
-from .minmax import index_exponents
-from .normal_form import as_profile, build_relation, pattern_of, symmetric_normal_form
-from .patterns import has_support
+from .minmax import analyze
+from .normal_form import as_profile
 
 __all__ = [
     "EnsembleConfig",
@@ -53,6 +52,7 @@ __all__ = [
 class EnsembleConfig:
     """Plan for a smallest-singular-value sweep.
 
+    ``profile`` may also be its :func:`~specdens.minmax.analyze` result.
     ``sizes`` are per-block sizes ``n`` (matrix dimension is ``n * K``);
     ``trials`` independent samples are drawn per size; ``workers`` sizes the
     thread pool (the eigensolver releases the interpreter lock, so threads
@@ -174,14 +174,6 @@ def condition_number(h: np.ndarray) -> float:
     return float(w.max()) / smallest
 
 
-def _predicted_slope(profile) -> float | None:
-    if not has_support(pattern_of(profile)):
-        return None
-    nf = symmetric_normal_form(profile)
-    sigma = index_exponents(build_relation(nf)).sigma
-    return -1.0 / (1.0 - float(sigma))
-
-
 # Runtime thread-count symbols of the OpenBLAS builds numpy wheels bundle.
 _BLAS_THREAD_SYMBOLS = (
     ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
@@ -250,7 +242,8 @@ def run_sweep(config: EnsembleConfig) -> SweepReport:
     count and any BLAS thread count.  When the OpenBLAS thread count
     cannot be set, the default pool has one worker and BLAS keeps its own
     threads."""
-    profile = as_profile(config.profile)
+    an = analyze(config.profile)
+    profile, ex = an.profile, an.exponents
     sizes = tuple(int(n) for n in config.sizes)
     if not sizes or any(n < 1 for n in sizes):
         raise ValueError("sizes must be positive integers")
@@ -301,5 +294,5 @@ def run_sweep(config: EnsembleConfig) -> SweepReport:
         stderr_smin=tuple(float(x) for x in stderr),
         mean_cond=tuple(float(x) for x in cond.mean(axis=1)),
         slope=slope,
-        predicted_slope=_predicted_slope(profile),
+        predicted_slope=None if ex is None else -1.0 / (1.0 - float(ex.sigma)),
     )

@@ -33,7 +33,6 @@ from .errors import (
     CyclicRelationError,
     HasSupportError,
     NegativeEntryError,
-    NoSupportError,
     NotSymmetricError,
     StructureViolationError,
 )
@@ -268,7 +267,6 @@ def symmetric_normal_form(s) -> NormalForm:
     (not reachable for valid symmetric profiles).
     """
     profile = as_profile(s)
-    k = profile.k
     pat = pattern_of(profile)
     skel_res = fid_skeleton(pat)  # NoSupportError when there is no support
     skel = np.array(skel_res.on_diagonal, dtype=bool)
@@ -382,24 +380,16 @@ def verify_normal_form(s, nf: NormalForm) -> None:
         if not mask[i, nf.partner(i)]:
             fail("a block is not coupled to its partner")
 
-    mid = range(m, m + l_mid)
-    last = range(m + l_mid, n)
-    for i in mid:
-        for j in mid:
-            if i != j and mask[i, j]:
-                fail("middle blocks are coupled to each other")
-    for i in mid:
-        for j in last:
-            if mask[i, j] or mask[j, i]:
-                fail("middle band couples to the last band")
-    for i in last:
-        for j in last:
-            if mask[i, j]:
-                fail("last band has an internal coupling")
-    for i in range(m):
-        for j in last:
-            if i + j > n - 1 and (mask[i, j] or mask[j, i]):
-                fail("coupling strictly below the block anti-diagonal")
+    # the mask is symmetric, so checking one side of each band pair suffices
+    mid, last = range(m, m + l_mid), range(m + l_mid, n)
+    if any(mask[i, j] for i in mid for j in mid if i != j):
+        fail("middle blocks are coupled to each other")
+    if any(mask[i, j] for i in mid for j in last):
+        fail("middle band couples to the last band")
+    if any(mask[i, j] for i in last for j in last):
+        fail("last band has an internal coupling")
+    if any(mask[i, j] for i in range(m) for j in last if i + j > n - 1):
+        fail("coupling strictly below the block anti-diagonal")
 
     for i in range(n):
         j = nf.partner(i)

@@ -24,18 +24,9 @@ from .dyson import (
     RescaledResiduals,
     ScalingFit,
 )
-from .minmax import index_exponents
+from .minmax import analyze
 from .montecarlo import SweepReport
-from .normal_form import (
-    VarianceProfile,
-    as_profile,
-    build_relation,
-    longest_chain,
-    no_support_normal_form,
-    pattern_of,
-    symmetric_normal_form,
-)
-from .patterns import has_support
+from .normal_form import VarianceProfile
 
 __all__ = [
     "canonical_json",
@@ -52,6 +43,12 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 1
+
+# classification keys besides "schema" and "support_class"; unfilled stay null
+_DOCUMENT_KEYS = (
+    "kappa", "L", "M", "block_dims", "permutation", "mask", "relation_edges",
+    "longest_chain", "sigma", "Q", "f",
+)
 
 
 # --- canonical JSON ---------------------------------------------------------------
@@ -121,13 +118,16 @@ def parse_profile_text(text: str) -> VarianceProfile:
     if stripped.startswith("{"):
         try:
             doc = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise ValueError(f"invalid JSON profile: {exc}") from None
         if not isinstance(doc, dict) or "entries" not in doc:
             raise ValueError('JSON profile must be {"K": int, "entries": [[...]]}')
-        entries = doc["entries"]
-        profile = VarianceProfile(entries)
-        if "K" in doc and int(doc["K"]) != profile.k:
+        try:
+            profile = VarianceProfile(doc["entries"])
+            k = int(doc["K"]) if "K" in doc else profile.k
+        except (TypeError, OverflowError) as exc:
+            raise ValueError(f"invalid JSON profile: {exc}") from None
+        if k != profile.k:
             raise ValueError(
                 f'profile says "K": {doc["K"]} but entries are {profile.k} x {profile.k}'
             )
@@ -148,57 +148,41 @@ def parse_profile_text(text: str) -> VarianceProfile:
 
 
 def classification_document(s) -> dict:
-    """Combinatorial classification of a profile as a schema-1 document.
+    """Combinatorial classification of a profile (or of its
+    :func:`analyze` result) as a schema-1 document.
 
     With support: normal form (permutation, block dimensions, mask), the
     block relation, the longest chain, the exponents ``f``, ``sigma`` and
     ``Q``; ``kappa`` is null.  Without support: ``kappa`` and the
     three-block decomposition witnessing it; the normal-form keys are
     null."""
-    profile = as_profile(s)
-    p = pattern_of(profile)
-    doc = {
-        "schema": SCHEMA_VERSION,
-        "support_class": None,
-        "kappa": None,
-        "L": None,
-        "M": None,
-        "block_dims": None,
-        "permutation": None,
-        "mask": None,
-        "relation_edges": None,
-        "longest_chain": None,
-        "sigma": None,
-        "Q": None,
-        "f": None,
-    }
-    if not has_support(p):
-        form = no_support_normal_form(profile)
-        doc["support_class"] = "NoSupport"
-        doc["kappa"] = fraction_str(form.kappa)
-        doc["block_dims"] = [int(x) for x in form.sizes]
-        doc["permutation"] = [int(x) for x in form.perm]
+    an = analyze(s)
+    doc = dict.fromkeys(_DOCUMENT_KEYS)
+    doc.update(schema=SCHEMA_VERSION, support_class=an.support_class)
+    if an.nf is None:
+        form = an.no_support
+        doc.update(
+            kappa=fraction_str(form.kappa),
+            block_dims=[int(x) for x in form.sizes],
+            permutation=[int(x) for x in form.perm],
+        )
         return doc
-    nf = symmetric_normal_form(profile)
-    rel = build_relation(nf)
-    # every present entry lies on a positive diagonal iff the profile is
-    # coupled only within partner blocks, i.e. the relation is empty
-    doc["support_class"] = "SupportOnly" if rel.edges else "TotalSupport"
-    chain = longest_chain(rel)
-    ex = index_exponents(rel)
-    doc["L"] = nf.L
-    doc["M"] = nf.M
-    doc["block_dims"] = [int(d) for d in nf.dims]
-    doc["permutation"] = [int(x) for x in nf.perm]
-    doc["mask"] = [[int(bool(x)) for x in row] for row in nf.mask]
-    doc["relation_edges"] = [[int(i), int(j)] for i, j in sorted(rel.edges)]
-    doc["longest_chain"] = {
-        "length": chain.length,
-        "witness": [int(x) for x in chain.witness],
-    }
-    doc["sigma"] = fraction_str(ex.sigma)
-    doc["Q"] = ex.Q
-    doc["f"] = [fraction_str(x) for x in ex.f]
+    nf, ex = an.nf, an.exponents
+    doc.update(
+        L=nf.L,
+        M=nf.M,
+        block_dims=[int(d) for d in nf.dims],
+        permutation=[int(x) for x in nf.perm],
+        mask=[[int(bool(x)) for x in row] for row in nf.mask],
+        relation_edges=[[int(i), int(j)] for i, j in sorted(an.relation.edges)],
+        longest_chain={
+            "length": an.chain.length,
+            "witness": [int(x) for x in an.chain.witness],
+        },
+        sigma=fraction_str(ex.sigma),
+        Q=ex.Q,
+        f=[fraction_str(x) for x in ex.f],
+    )
     return doc
 
 
@@ -281,16 +265,7 @@ def density_csv(curve: DensityCurve) -> str:
 
 def sweep_csv(rep: SweepReport) -> str:
     lines = ["size_n,dim_N,mean_smin,stderr_smin,mean_cond"]
-    for i, n in enumerate(rep.sizes):
-        lines.append(
-            ",".join(
-                [
-                    str(n),
-                    str(rep.dims[i]),
-                    _csv_cell(rep.mean_smin[i]),
-                    _csv_cell(rep.stderr_smin[i]),
-                    _csv_cell(rep.mean_cond[i]),
-                ]
-            )
-        )
+    for row in zip(rep.sizes, rep.dims, rep.mean_smin, rep.stderr_smin, rep.mean_cond):
+        n, dim, *floats = row
+        lines.append(",".join([str(n), str(dim)] + [_csv_cell(x) for x in floats]))
     return "\n".join(lines) + "\n"

@@ -1,9 +1,11 @@
 """End-to-end tests of the command-line interface (in-process)."""
 
 import json
+import sys
 
 import pytest
 
+import specdens
 import specdens.cli as cli
 from specdens.errors import NonConvergenceError
 from specdens.report import canonical_json
@@ -144,6 +146,36 @@ def test_report_section_errors_do_not_abort(arrow_file, capsys, monkeypatch):
     assert doc["limit_weights"]["h"] == ["2/3", "2/3"]
 
 
+@pytest.mark.parametrize(
+    "extra", [[], ["--with-mc", "--sizes", "4,8", "--trials", "3"]],
+    ids=["plain", "with_mc"],
+)
+def test_report_classifies_once(arrow_file, capsys, monkeypatch, extra):
+    calls = {}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    # wrap each function wherever a specdens module holds a reference to it
+    for name in ("symmetric_normal_form", "build_relation", "index_exponents"):
+        original = getattr(specdens, name)
+        wrapper = counted(name, original)
+        for module in list(sys.modules.values()):
+            if (getattr(module, "__name__", "").startswith("specdens")
+                    and getattr(module, name, None) is original):
+                monkeypatch.setattr(module, name, wrapper)
+    assert cli.main(["report", arrow_file, *extra]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["sigma"] == "1/3"
+    assert ("sweep" in doc) == bool(extra)
+    assert calls == {
+        "symmetric_normal_form": 1, "build_relation": 1, "index_exponents": 1,
+    }
+
+
 def test_exit_code_parse_errors(tmp_path, capsys):
     missing = str(tmp_path / "missing.csv")
     assert cli.main(["classify", missing]) == 2
@@ -154,6 +186,19 @@ def test_exit_code_parse_errors(tmp_path, capsys):
     nan.write_text("1,nan\nnan,1\n")
     assert cli.main(["classify", str(nan)]) == 2
     capsys.readouterr()
+    malformed = tmp_path / "malformed.json"
+    for text in (
+        '{"K": null, "entries": [[1]]}',
+        '{"K": [2], "entries": [[1]]}',
+        '{"entries": [[{}]]}',
+        '{"K": 1e400, "entries": [[1]]}',
+        '{"entries": ' + "[" * 100_000 + "]" * 100_000 + "}",
+    ):
+        malformed.write_text(text)
+        assert cli.main(["classify", str(malformed)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
 
 
 def test_exit_code_invalid_argument(arrow_file, capsys):

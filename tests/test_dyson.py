@@ -27,6 +27,7 @@ from specdens.errors import (
     NonPositiveInputError,
     ZeroRowError,
 )
+from specdens.minmax import analyze
 
 from test_normal_form import BIG_EXAMPLE
 
@@ -230,6 +231,9 @@ def test_exponents_arrow():
     fit = empirical_exponents(ARROW)
     assert fit.predicted_slopes == (1 / 3, -1 / 3)
     assert fit.max_deviation < 0.01
+    again = empirical_exponents(analyze(ARROW))
+    assert np.array_equal(again.block_averages, fit.block_averages)
+    assert again.fitted_slopes == fit.fitted_slopes
 
 
 def test_exponents_chain3():
@@ -346,6 +350,9 @@ def test_limit_weights_big_example():
     assert rr.f0_residual < 1e-3
     assert rr.fl_residual < 1e-3
     assert len(rr.fl_values) == data.nf.M
+    again = limit_weights(analyze(BIG_EXAMPLE), eta_pair=(2e-15, 1e-15))
+    assert np.array_equal(again.w, data.w)
+    assert rescaled_residuals(again).fl_values == rr.fl_values
 
 
 def test_rescaled_residuals_exact_at_unit_weights():
@@ -372,6 +379,8 @@ def test_atom_mass_exact_and_numeric():
     am = atom_mass_estimate(NOSUPPORT3)
     assert am.kappa_exact == F(1, 3)
     assert abs(am.kappa_numeric - 1 / 3) < 1e-4
+    again = atom_mass_estimate(analyze(NOSUPPORT3))
+    assert (again.kappa_exact, again.estimates) == (am.kappa_exact, am.estimates)
 
 
 def test_atom_mass_direct_sum_scaling():

@@ -12,6 +12,7 @@ import pytest
 
 from specdens import montecarlo
 from specdens.errors import EigFailureError, SingularMatrixError
+from specdens.minmax import analyze
 from specdens.montecarlo import (
     EnsembleConfig,
     condition_number,
@@ -239,6 +240,9 @@ def test_sweep_report_contents():
     assert all(s > 0 for s in rep.stderr_smin)
     assert all(c > 1 for c in rep.mean_cond)
     assert rep.predicted_slope == pytest.approx(-1.5)  # sigma = 1/3
+    again = run_sweep(EnsembleConfig(analyze(ARROW), (8, 16), trials=5, master_seed=1))
+    assert np.array_equal(again.smin, rep.smin)
+    assert again.predicted_slope == rep.predicted_slope
 
 
 def test_sweep_regular_profile_scales_like_inverse_dimension():
@@ -253,6 +257,10 @@ def test_sweep_no_support_has_no_prediction():
     rep = run_sweep(EnsembleConfig(NOSUPPORT3, (6, 12), trials=4, master_seed=3))
     assert rep.predicted_slope is None
     # the pattern forces an exact kernel, so smin vanishes identically
+    assert max(rep.mean_smin) < 1e-12
+    # a zero row: no support and no no-support splitting, but a valid sweep
+    rep = run_sweep(EnsembleConfig([[1.0, 0.0], [0.0, 0.0]], (2, 4), trials=2))
+    assert rep.predicted_slope is None
     assert max(rep.mean_smin) < 1e-12
 
 

@@ -9,6 +9,7 @@ import pytest
 
 from specdens.dyson import DensityCurve, empirical_exponents
 from specdens.errors import NegativeEntryError, NotSymmetricError
+from specdens.minmax import analyze
 from specdens.montecarlo import EnsembleConfig, run_sweep
 from specdens.report import (
     canonical_json,
@@ -125,6 +126,15 @@ def test_parse_rejects_bad_input():
         parse_profile_text("1,2\n3,4\n")
     with pytest.raises(NegativeEntryError):
         parse_profile_text("1,-1\n-1,1\n")
+    for text in (
+        '{"K": null, "entries": [[1]]}',
+        '{"K": [2], "entries": [[1]]}',
+        '{"entries": [[{}]]}',
+        '{"K": 1e400, "entries": [[1]]}',
+        '{"entries": ' + "[" * 100_000 + "]" * 100_000 + "}",
+    ):
+        with pytest.raises(ValueError, match="invalid JSON profile"):
+            parse_profile_text(text)
 
 
 # --- classification documents -----------------------------------------------------
@@ -132,6 +142,7 @@ def test_parse_rejects_bad_input():
 
 def test_document_supported_profile():
     doc = classification_document(ARROW)
+    assert classification_document(analyze(ARROW)) == doc
     assert doc["schema"] == 1
     assert doc["support_class"] == "SupportOnly"
     assert doc["kappa"] is None
@@ -144,6 +155,7 @@ def test_document_supported_profile():
 
 def test_document_flat_profile():
     doc = classification_document(np.ones((4, 4)))
+    assert classification_document(analyze(np.ones((4, 4)))) == doc
     assert doc["support_class"] == "TotalSupport"
     assert doc["sigma"] == "0/1"
     assert doc["block_dims"] == [4]
@@ -151,6 +163,7 @@ def test_document_flat_profile():
 
 def test_document_no_support_profile():
     doc = classification_document(NOSUPPORT3)
+    assert classification_document(analyze(NOSUPPORT3)) == doc
     assert doc["support_class"] == "NoSupport"
     assert doc["kappa"] == "1/3"
     assert doc["sigma"] is None
