@@ -213,16 +213,47 @@ class QuantileFit:
 # --- shared validation ----------------------------------------------------------
 
 
-def _solver_matrix(s) -> np.ndarray:
-    """Validated dense profile matrix; rejects rows with no non-zero entry
-    (the corresponding component would equal 1/eta identically and the
-    density would not be a function)."""
-    profile = as_profile(s)
-    a = profile.entries
+def _solver_system(s) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Validated dense profile matrix ``a`` with its identical rows merged,
+    ``(a, r, cls)`` (see :func:`_lumped`); rejects rows with no non-zero
+    entry (the corresponding component would equal 1/eta identically and
+    the density would not be a function)."""
+    a = as_profile(s).entries
     zero_rows = np.flatnonzero(~(a != 0).any(axis=1))
     if zero_rows.size:
         raise ZeroRowError(f"profile row {zero_rows[0]} is identically zero")
-    return a
+    return (a, *_lumped(a))
+
+
+def _lumped(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Merge the indices whose rows of ``a`` are identical, byte for byte.
+
+    Returns ``(r, cls)``: ``cls[i]`` is the class of index ``i``, classes
+    numbered by first occurrence, and ``r[I, J]`` is the sum of ``a[i, j]``
+    over the ``j`` in class ``J`` for any ``i`` in class ``I``.  Identical
+    rows give identical right-hand sides, so ``x`` solves the equation on
+    ``r`` exactly when ``x[cls]`` solves it on ``a``.  Without repeated rows
+    ``r`` is ``a`` itself."""
+    k = a.shape[0]
+    rows = np.ascontiguousarray(a).view(np.dtype((np.void, a.itemsize * k)))
+    _, first, inverse = np.unique(rows[:, 0], return_index=True, return_inverse=True)
+    if first.size == k:
+        return a, np.arange(k)
+    order = np.argsort(first)
+    cls = np.argsort(order)[inverse]
+    r = np.zeros((first.size, first.size))
+    np.add.at(r.T, cls, a[first[order]].T)
+    return r, cls
+
+
+def _class_mean(x: np.ndarray, cls: np.ndarray, n: int) -> np.ndarray:
+    """Average of ``x`` over each of the ``n`` classes (``x`` itself when
+    every class is one index)."""
+    if n == cls.size:
+        return x
+    total = np.zeros(n, dtype=x.dtype)
+    np.add.at(total, cls, x)
+    return total / np.bincount(cls, minlength=n)
 
 
 def _positive_start(start, k: int) -> np.ndarray:
@@ -380,9 +411,12 @@ def solve_imaginary_axis(
 ) -> AxisSolution:
     """Solve ``1/v = eta + S v`` for the positive vector ``v`` at ``eta > 0``.
 
+    Indices with identical rows of ``S`` have identical entries of ``v``;
+    they are merged before the solve and the result is expanded back.
+
     Parameters
     ----------
-    s : matrix-like or VarianceProfile
+    s : matrix-like, VarianceProfile or Analysis
         Symmetric non-negative profile without identically zero rows.
     eta : float
         Strictly positive point on the imaginary axis.
@@ -397,7 +431,8 @@ def solve_imaginary_axis(
         ``v <- (1 - theta) v + theta / (eta + S v)`` with adaptive theta.
     start : array, optional
         Positive warm start; when given, continuation is skipped and the
-        equation is solved directly at ``eta``.
+        equation is solved directly at ``eta``.  It is averaged over each
+        set of indices with identical rows.
 
     Raises
     ------
@@ -405,26 +440,38 @@ def solve_imaginary_axis(
     """
     if method not in ("hybrid", "damped"):
         raise ValueError(f"unknown method {method!r}")
+    eta = _axis_point(eta)
+    a, r, cls = _solver_system(s)
+    y = None
+    if start is not None:
+        y = _class_mean(_positive_start(start, a.shape[0]), cls, r.shape[0])
+    return _axis(a, r, cls, eta, tol, y, max_iter, method == "hybrid")[0]
+
+
+def _axis_point(eta) -> float:
     if not (isinstance(eta, (int, float)) and math.isfinite(eta) and eta > 0):
         raise ValueError("eta must be a finite positive real number")
-    a = _solver_matrix(s)
-    k = a.shape[0]
-    eta = float(eta)
+    return float(eta)
+
+
+def _axis(a, r, cls, eta, tol, y=None, max_iter=100_000, hybrid=True):
+    """Axis solve on the merged profile ``r`` from the merged start ``y``
+    (continuation when None).  Returns the solution on ``a`` and the merged
+    vector, the warm start for a next point."""
     budget = _Budget(max_iter)
-    if start is not None:
-        v = _positive_start(start, k)
-        path = [eta]
-    else:
+    if y is None:
         path = _continuation_path(eta)
-        row = a.sum(axis=1)
-        v = 1.0 / (path[0] + row / path[0])
+        y = 1.0 / (path[0] + r.sum(axis=1) / path[0])
+    else:
+        path = [eta]
     for stage_eta in path:
         stage_tol = tol if stage_eta == eta else max(tol, 1e-10)
-        v, res = _stage(a, stage_eta, 1.0, v, stage_tol, budget, method == "hybrid")
+        y, _ = _stage(r, stage_eta, 1.0, y, stage_tol, budget, hybrid)
+    v = y[cls]
     _assert_axis_bounds(a, eta, v, tol)
-    v = v.copy()
     v.flags.writeable = False
-    return AxisSolution(eta=eta, v=v, residual=res, iterations=budget.used)
+    res = _residual(a, eta, 1.0, v)
+    return AxisSolution(eta=eta, v=v, residual=res, iterations=budget.used), y
 
 
 def _assert_axis_bounds(a, eta, v, tol):
@@ -454,38 +501,52 @@ def solve_upper_half_plane(
     Continuation descends from ``Re z + i max(Im z, 1)`` by halving the
     imaginary part; pass ``start`` (an upper-half-plane vector) to solve
     directly at ``z``.  On the imaginary axis the solution equals
-    ``i v(eta)`` with ``v`` from :func:`solve_imaginary_axis`.
+    ``i v(eta)`` with ``v`` from :func:`solve_imaginary_axis`.  As there,
+    indices with identical rows are merged and ``start`` is averaged over
+    them.
 
     Raises
     ------
     ZeroRowError, NonConvergenceError, ImaginarySignLostError, ValueError
     """
+    z = _plane_point(z)
+    a, r, cls = _solver_system(s)
+    y = None
+    if start is not None:
+        m = np.asarray(start, dtype=complex)
+        if m.shape != (a.shape[0],):
+            raise ValueError(f"start vector must have shape ({a.shape[0]},)")
+        if not (m.imag > 0).all():
+            raise ImaginarySignLostError("start vector must have Im m > 0")
+        y = _class_mean(m, cls, r.shape[0])
+    return _plane(a, r, cls, z, tol, y, max_iter)[0]
+
+
+def _plane_point(z) -> complex:
     z = complex(z)
     if not (math.isfinite(z.real) and math.isfinite(z.imag) and z.imag > 0):
         raise ValueError("z must lie in the open upper half-plane")
-    a = _solver_matrix(s)
-    k = a.shape[0]
+    return z
+
+
+def _plane(a, r, cls, z, tol, y=None, max_iter=100_000):
+    """Plane solve on the merged profile ``r``; see :func:`_axis`."""
     budget = _Budget(max_iter)
-    if start is not None:
-        m = np.asarray(start, dtype=complex)
-        if m.shape != (k,):
-            raise ValueError(f"start vector must have shape ({k},)")
-        if not (m.imag > 0).all():
-            raise ImaginarySignLostError("start vector must have Im m > 0")
-        m = m.copy()
-        path = [z]
-    else:
+    if y is None:
         ims = _continuation_path(z.imag)
         path = [complex(z.real, im) for im in ims]
-        m = np.full(k, -1.0 / path[0], dtype=complex)
-        if not (m.imag > 0).all():  # pragma: no cover - safe by construction
-            m = np.full(k, 1j, dtype=complex)
+        y = np.full(r.shape[0], -1.0 / path[0], dtype=complex)
+        if not (y.imag > 0).all():  # pragma: no cover - safe by construction
+            y = np.full(r.shape[0], 1j, dtype=complex)
+    else:
+        path = [z]
     for stage_z in path:
         stage_tol = tol if stage_z == z else max(tol, 1e-9)
-        m, res = _stage(a, stage_z, -1.0, m, stage_tol, budget)
-    m = m.copy()
+        y, _ = _stage(r, stage_z, -1.0, y, stage_tol, budget)
+    m = y[cls]
     m.flags.writeable = False
-    return PlaneSolution(z=z, m=m, residual=res, iterations=budget.used)
+    res = _residual(a, z, -1.0, m)
+    return PlaneSolution(z=z, m=m, residual=res, iterations=budget.used), y
 
 
 # --- density of states -----------------------------------------------------------
@@ -508,23 +569,20 @@ def density_profile(
     """
     if not (isinstance(epsilon, (int, float)) and epsilon > 0):
         raise NonPositiveInputError("epsilon must be strictly positive")
-    a = _solver_matrix(s)
+    a, r, cls = _solver_system(s)
     taus = np.asarray(tau_grid, dtype=float)
     if taus.ndim != 1 or taus.size == 0:
         raise ValueError("tau_grid must be a non-empty 1-D array")
     rho = np.empty_like(taus)
-    m_prev = None
+    y = None
     for j, tau in enumerate(taus):
-        z = complex(tau, epsilon)
+        z = _plane_point(complex(tau, epsilon))
         try:
-            sol = solve_upper_half_plane(
-                a, z, tol=tol, max_iter=max_iter, start=m_prev
-            )
+            sol, y = _plane(a, r, cls, z, tol, y, max_iter)
         except NonConvergenceError:
-            if m_prev is None:
+            if y is None:
                 raise
-            sol = solve_upper_half_plane(a, z, tol=tol, max_iter=max_iter)
-        m_prev = sol.m
+            sol, y = _plane(a, r, cls, z, tol, None, max_iter)
         rho[j] = float(sol.m.imag.mean() / math.pi)
     taus = taus.copy()
     taus.flags.writeable = False
@@ -594,17 +652,17 @@ def empirical_exponents(
     converges only logarithmically in ``eta``, so wide grids (several
     decades) are required for tight comparisons."""
     an = _supported(s)
-    profile, nf, ex = an.profile, an.nf, an.exponents
+    nf, ex = an.nf, an.exponents
     etas = _geometric_grid(eta_max, eta_min, points_per_decade)
+    a, r, cls = _solver_system(an)
     n_blocks = nf.n_blocks
     block_orig = [
         [nf.perm[i] for i in nf.block_indices(b)] for b in range(n_blocks)
     ]
     avgs = np.empty((etas.size, n_blocks))
-    v_prev = None
+    y = None
     for p, eta in enumerate(etas):
-        sol = solve_imaginary_axis(profile, float(eta), tol=tol, start=v_prev)
-        v_prev = sol.v
+        sol, y = _axis(a, r, cls, float(eta), tol, y)
         for b in range(n_blocks):
             avgs[p, b] = sol.v[block_orig[b]].mean()
     log_eta = np.log(etas)
@@ -727,8 +785,9 @@ def limit_weights(
     f_idx = np.repeat([float(f) for f in data.exponents.f], data.nf.dims)
     q = data.exponents.Q
 
-    sol1 = solve_imaginary_axis(an.profile, e1, tol=tol)
-    sol2 = solve_imaginary_axis(an.profile, e2, tol=tol, start=sol1.v)
+    a, r, cls = _solver_system(an)
+    sol1, y = _axis(a, r, cls, _axis_point(e1), tol)
+    sol2, _ = _axis(a, r, cls, e2, tol, y)
     x1 = sol1.v[perm] * e1**f_idx
     x2 = sol2.v[perm] * e2**f_idx
     w1, w2 = e1 ** (1.0 / q), e2 ** (1.0 / q)
@@ -816,11 +875,11 @@ def atom_mass_estimate(
     etas = tuple(sorted((float(e) for e in eta_grid), reverse=True))
     if not etas or etas[-1] <= 0:
         raise ValueError("eta_grid must contain positive values")
+    a, r, cls = _solver_system(an)
     estimates = []
-    v_prev = None
+    y = None
     for eta in etas:
-        sol = solve_imaginary_axis(an.profile, eta, tol=tol, start=v_prev)
-        v_prev = sol.v
+        sol, y = _axis(a, r, cls, _axis_point(eta), tol, y)
         estimates.append(eta * float(sol.v.mean()))
     return AtomMass(
         kappa_exact=kappa,

@@ -97,8 +97,12 @@ class VarianceProfile:
 
 
 def as_profile(s) -> VarianceProfile:
-    """Coerce a matrix-like object into a validated VarianceProfile."""
-    return s if isinstance(s, VarianceProfile) else VarianceProfile(s)
+    """Coerce a matrix-like object into a validated VarianceProfile; an
+    :class:`~specdens.minmax.Analysis` gives its ``profile``."""
+    if isinstance(s, VarianceProfile):
+        return s
+    profile = getattr(s, "profile", None)
+    return profile if isinstance(profile, VarianceProfile) else VarianceProfile(s)
 
 
 def pattern_of(s) -> ZeroPattern:

@@ -124,9 +124,11 @@ def parse_profile_text(text: str) -> VarianceProfile:
             raise ValueError('JSON profile must be {"K": int, "entries": [[...]]}')
         try:
             profile = VarianceProfile(doc["entries"])
-            k = int(doc["K"]) if "K" in doc else profile.k
         except (TypeError, OverflowError) as exc:
             raise ValueError(f"invalid JSON profile: {exc}") from None
+        k = doc.get("K", profile.k)
+        if type(k) is not int:
+            raise ValueError(f'invalid JSON profile: "K" must be an integer, not {type(k).__name__}')
         if k != profile.k:
             raise ValueError(
                 f'profile says "K": {doc["K"]} but entries are {profile.k} x {profile.k}'

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface (in-process)."""
 
+import hashlib
 import json
 import sys
 
@@ -193,12 +194,44 @@ def test_exit_code_parse_errors(tmp_path, capsys):
         '{"entries": [[{}]]}',
         '{"K": 1e400, "entries": [[1]]}',
         '{"entries": ' + "[" * 100_000 + "]" * 100_000 + "}",
+        '{"K": 2.7, "entries": [[1, 1], [1, 0]]}',
+        '{"K": true, "entries": [[1]]}',
+        '{"K": "2", "entries": [[1, 1], [1, 0]]}',
     ):
         malformed.write_text(text)
         assert cli.main(["classify", str(malformed)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ")
+
+
+REFERENCE_CSV = "".join(",".join(row) + "\n" for row in [
+    "0001100001", "0011000111", "0101000000", "1111000100", "1000000001",
+    "0000000001", "0000001010", "0101000001", "0100001010", "1100110100",
+])
+SOLVER_PROFILES = {
+    "arrow": ARROW_CSV, "chain3": "1,1,1\n1,1,0\n1,0,0\n", "reference": REFERENCE_CSV,
+}
+# SHA-256 of the stdout of the solver commands on profiles without repeated
+# rows, captured before identical rows were merged in the solvers
+SOLVER_OUTPUT_SHA256 = {
+    ("arrow", "density"): "1ab7bb3f2788a1e616d736fd2b8223ba253c1aa64e0ae5a833f4b1d1cd468462",
+    ("arrow", "scaling"): "bee6692252d6533b10ff66e0f0e7a26ec670234be322d4c54dae841fdec93825",
+    ("chain3", "density"): "48c7f0927c3a718e9f8d69983b05d179d825fcad182aa50b92430c58ab1577d1",
+    ("chain3", "scaling"): "78f42919ad1c2b969e64db05fe151105e00d3d9688162923cdb621b96b3923a1",
+    ("reference", "density"): "5c8183df13d71e61e9c75410d2d86126c5b0cd349439933a886d7920e40f2c9b",
+    ("reference", "scaling"): "7deaf18d1e4b516f9d10a514d3c1bc182a8009a95939411418342af66a7a5450",
+}
+
+
+@pytest.mark.parametrize("name, command", sorted(SOLVER_OUTPUT_SHA256))
+def test_solver_commands_are_byte_identical(tmp_path, capsys, name, command):
+    path = tmp_path / f"{name}.csv"
+    path.write_text(SOLVER_PROFILES[name])
+    extra = ["--points", "101"] if command == "density" else []
+    assert cli.main([command, str(path), *extra]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == SOLVER_OUTPUT_SHA256[name, command]
 
 
 def test_exit_code_invalid_argument(arrow_file, capsys):

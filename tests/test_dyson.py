@@ -6,6 +6,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from specdens import dyson
 from specdens.dyson import (
     DensityCurve,
     atom_mass_estimate,
@@ -192,6 +193,117 @@ def test_density_arrow_flattens_after_rescaling():
 def test_density_rejects_bad_epsilon():
     with pytest.raises(NonPositiveInputError):
         density_profile(ONES1, [0.0], epsilon=0.0)
+
+
+# --- merged rows ------------------------------------------------------------------
+
+
+def _blown_up(s, b, seed):
+    """A symmetric permutation of ``kron(s, ones((b, b)))`` and the block of
+    ``s`` that each of its indices came from."""
+    rng = np.random.default_rng(seed)
+    s = np.asarray(s, dtype=float)
+    perm = rng.permutation(s.shape[0] * b)
+    return np.kron(s, np.ones((b, b)))[np.ix_(perm, perm)], perm // b
+
+
+@pytest.mark.parametrize("s, b", [(BIG_EXAMPLE, 3), (CHAIN3, 4)], ids=["big3", "chain3x4"])
+def test_merged_rows_match_the_block_profile(s, b):
+    # indices with identical rows share one entry of the solution, and the
+    # equation on the classes is the one of b * s
+    big, block = _blown_up(s, b, seed=b)
+    small = b * np.asarray(s, dtype=float)
+    for eta in (1e-1, 1e-3, 1e-6):
+        x, y = solve_imaginary_axis(big, eta), solve_imaginary_axis(small, eta)
+        assert np.max(np.abs(x.v / y.v[block] - 1.0)) < 1e-12
+        assert x.iterations == y.iterations
+    for z in (0.5 + 1e-3j, 1e-3j, -1.2 + 0.1j, 1.0 + 1e-6j):
+        x, y = solve_upper_half_plane(big, z), solve_upper_half_plane(small, z)
+        assert np.max(np.abs(x.m / y.m[block] - 1.0)) < 1e-12
+        assert x.iterations == y.iterations
+    taus = np.linspace(-2.0, 2.0, 41)
+    x = density_profile(big, taus, epsilon=1e-3)
+    y = density_profile(small, taus, epsilon=1e-3)
+    assert np.max(np.abs(x.rho / y.rho - 1.0)) < 1e-12
+
+
+def _reference_solve(a, z, c, tol, start=None):
+    """The solve on the full matrix, without merging rows: continuation from
+    the cold start of each solver, or one stage from ``start``."""
+    budget = dyson._Budget(100_000)
+    if start is not None:
+        x, path = start, [z]
+    elif c > 0:
+        path = dyson._continuation_path(z)
+        x = 1.0 / (path[0] + a.sum(axis=1) / path[0])
+    else:
+        path = [complex(z.real, im) for im in dyson._continuation_path(z.imag)]
+        x = np.full(a.shape[0], -1.0 / path[0], dtype=complex)
+    floor = 1e-10 if c > 0 else 1e-9
+    for point in path:
+        x, res = dyson._stage(
+            a, point, c, x, tol if point == z else max(tol, floor), budget
+        )
+    return x, res, budget.used
+
+
+@pytest.mark.parametrize(
+    "s", [ARROW, CHAIN3, BIG_EXAMPLE, "random"], ids=["arrow", "chain3", "big", "random"]
+)
+def test_distinct_rows_solve_bit_identically(s):
+    if isinstance(s, str):
+        rng = np.random.default_rng(11)
+        g = rng.uniform(0.0, 2.0, (12, 12)) * (rng.uniform(size=(12, 12)) < 0.5)
+        s = np.triu(g) + np.triu(g, 1).T + np.eye(12)
+    a = np.asarray(s, dtype=float)
+    for eta in (1e-2, 1e-6, 1e-10):
+        sol = solve_imaginary_axis(a, eta)
+        v, res, its = _reference_solve(a, eta, 1.0, 1e-12)
+        assert np.array_equal(sol.v, v) and sol.residual == res
+        assert sol.iterations == its
+    for z in (0.5 + 1e-3j, 1e-3j, 1.0 + 1e-6j):
+        sol = solve_upper_half_plane(a, z)
+        m, res, its = _reference_solve(a, z, -1.0, 1e-10)
+        assert np.array_equal(sol.m, m) and sol.residual == res
+        assert sol.iterations == its
+    taus = np.linspace(-2.5, 2.5, 51)
+    rho, m = [], None
+    for tau in taus:
+        z = complex(tau, 1e-6)
+        try:
+            m = _reference_solve(a, z, -1.0, 1e-10, start=m)[0]
+        except NonConvergenceError:
+            m = _reference_solve(a, z, -1.0, 1e-10)[0]
+        rho.append(m.imag.mean() / math.pi)
+    assert np.array_equal(density_profile(a, taus, epsilon=1e-6).rho, rho)
+
+
+def test_merged_rows_accept_a_warm_start_that_varies_within_a_class():
+    big, _ = _blown_up(BIG_EXAMPLE, 3, seed=5)
+    noise = 1.0 + 0.3 * np.random.default_rng(5).uniform(-1.0, 1.0, big.shape[0])
+    cold = solve_imaginary_axis(big, 1e-2)
+    warm = solve_imaginary_axis(big, 1e-2, start=cold.v * noise)
+    assert np.max(np.abs(warm.v / cold.v - 1.0)) < 1e-12
+    cold = solve_upper_half_plane(big, 0.3 + 1e-2j)
+    warm = solve_upper_half_plane(big, 0.3 + 1e-2j, start=cold.m * noise)
+    assert np.max(np.abs(warm.m / cold.m - 1.0)) < 1e-12
+
+
+def test_merged_rows_with_a_negative_zero():
+    # -0.0 makes rows 3 and 5 byte-different from rows 2 and 4: five
+    # classes instead of three, and the same solution
+    pos = np.kron(CHAIN3, np.ones((2, 2)))
+    neg = pos.copy()
+    neg[3, 5] = neg[5, 3] = -0.0
+    assert dyson._lumped(pos)[0].shape == (3, 3)
+    assert dyson._lumped(neg)[0].shape == (5, 5)
+    for eta in (1e-1, 1e-4):
+        x, y = solve_imaginary_axis(neg, eta), solve_imaginary_axis(pos, eta)
+        assert x.residual < 1e-12
+        assert np.max(np.abs(x.v / y.v - 1.0)) < 1e-12
+    x, y = solve_upper_half_plane(neg, 0.4 + 1e-3j), solve_upper_half_plane(pos, 0.4 + 1e-3j)
+    assert x.residual < 1e-10
+    assert np.max(np.abs(x.m / y.m - 1.0)) < 1e-12
 
 
 # --- variational characterization -------------------------------------------------

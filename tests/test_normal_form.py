@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from specdens.dyson import density_profile, solve_imaginary_axis, variational_value
 from specdens.errors import (
     CyclicRelationError,
     HasSupportError,
@@ -15,6 +16,8 @@ from specdens.errors import (
     StructureViolationError,
     ZeroRowError,
 )
+from specdens.minmax import analyze
+from specdens.montecarlo import sample_block_hermitian
 from specdens.normal_form import (
     BlockRelation,
     NormalForm,
@@ -93,6 +96,17 @@ def test_profile_rejects_negative():
 def test_profile_rejects_non_square():
     with pytest.raises(ValueError):
         VarianceProfile([[1, 2, 3], [2, 1, 2]])
+
+
+@pytest.mark.parametrize("consumer", [
+    lambda s: solve_imaginary_axis(s, 1e-3).v,
+    lambda s: density_profile(s, [-0.5, 0.0, 0.5], epsilon=1e-3).rho,
+    lambda s: variational_value(s, np.array([0.5, 2.0]), 0.1),
+    lambda s: sample_block_hermitian(s, 3, np.random.default_rng(2)),
+], ids=["axis", "density", "variational", "sample"])
+def test_profile_consumers_accept_an_analysis(consumer):
+    arrow = [[1.0, 1.0], [1.0, 0.0]]
+    assert np.array_equal(consumer(analyze(arrow)), consumer(arrow))
 
 
 # --- symmetric normal form ----------------------------------------------------------

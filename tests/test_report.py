@@ -132,6 +132,9 @@ def test_parse_rejects_bad_input():
         '{"entries": [[{}]]}',
         '{"K": 1e400, "entries": [[1]]}',
         '{"entries": ' + "[" * 100_000 + "]" * 100_000 + "}",
+        '{"K": 2.7, "entries": [[1, 1], [1, 0]]}',
+        '{"K": true, "entries": [[1]]}',
+        '{"K": "2", "entries": [[1, 1], [1, 0]]}',
     ):
         with pytest.raises(ValueError, match="invalid JSON profile"):
             parse_profile_text(text)
