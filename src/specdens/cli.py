@@ -18,10 +18,13 @@ Profiles are read from CSV (K lines of K comma-separated decimals) or JSON
 ``{"K": int, "entries": [[...]]}``.  Data goes to stdout, logs to stderr.
 
 Exit codes: 0 success; 1 check failed (scaling deviation above tolerance,
-or a command that requires a supported profile was given one without
-support); 2 unreadable or invalid profile, or an invalid argument value
-(such as a non-positive ``--epsilon``); 3 profile with an identically zero
-row; 4 internal structure violation; 5 solver non-convergence.
+or a profile without support where support is required, or with support
+where its absence is required); 2 unreadable or invalid profile, or an
+invalid argument value (such as a non-positive ``--epsilon``); 3 profile
+with an identically zero row; 4 internal structure violation (including a
+cyclic block relation); 5 numerical failure (solver non-convergence, an
+iterate leaving the upper half-plane, a failed eigendecomposition); 6 any
+other error of the package.
 """
 
 from __future__ import annotations
@@ -38,11 +41,16 @@ from .dyson import (
     rescaled_residuals,
 )
 from .errors import (
+    CyclicRelationError,
+    EigFailureError,
+    HasSupportError,
+    ImaginarySignLostError,
     NegativeEntryError,
     NonConvergenceError,
     NonPositiveInputError,
     NoSupportError,
     NotSymmetricError,
+    SpecdensError,
     StructureViolationError,
     ZeroRowError,
 )
@@ -68,7 +76,8 @@ EXIT_CHECK_FAILED = 1
 EXIT_PARSE = 2
 EXIT_ZERO_ROW = 3
 EXIT_STRUCTURE = 4
-EXIT_NO_CONVERGENCE = 5
+EXIT_NUMERICAL = 5
+EXIT_OTHER = 6
 
 _DEFAULT_SIZES = "32,64,128,256,512"
 
@@ -284,12 +293,18 @@ def main(argv=None) -> int:
     except NoSupportError as exc:
         print(f"error: profile has no support: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
-    except StructureViolationError as exc:
+    except HasSupportError as exc:
+        print(f"error: profile has support: {exc}", file=sys.stderr)
+        return EXIT_CHECK_FAILED
+    except (StructureViolationError, CyclicRelationError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_STRUCTURE
-    except NonConvergenceError as exc:
+    except (NonConvergenceError, ImaginarySignLostError, EigFailureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
+        return EXIT_NUMERICAL
+    except SpecdensError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_OTHER
 
 
 if __name__ == "__main__":

@@ -347,13 +347,16 @@ def _damped_step(a, z, c, x, res, theta):
 _WATCHDOG = 20
 
 
-def _stage(a, z, c, x, tol, budget: _Budget, newton: bool = True):
+def _stage(a, z, c, x, tol, budget: _Budget, newton: bool = True,
+           give_up: bool = False):
     """Drive x to tolerance at fixed z.
 
     Newton steps are accepted without a monotonicity requirement; a
     watchdog tracks the best iterate seen and, after _WATCHDOG consecutive
     steps without a 10 percent improvement on it, reverts to the best
-    iterate and finishes the stage with monotone damped sweeps."""
+    iterate and finishes the stage with monotone damped sweeps.  With
+    ``give_up`` the stage raises NonConvergenceError instead, when the
+    watchdog fires."""
     point = "eta" if c > 0 else "z"
     res = _residual(a, z, c, x)
     theta = 1.0
@@ -385,6 +388,12 @@ def _stage(a, z, c, x, tol, budget: _Budget, newton: bool = True):
         else:
             stale += 1
             if stale == _WATCHDOG:
+                if give_up:
+                    raise NonConvergenceError(
+                        f"stalled at {point}={z:g}: residual {best_res:.3e} > "
+                        f"{tol:g} after {budget.used} iterations",
+                        residual=best_res,
+                    )
                 x, res = best_x, best_res
     return x, res
 
@@ -529,8 +538,9 @@ def _plane_point(z) -> complex:
     return z
 
 
-def _plane(a, r, cls, z, tol, y=None, max_iter=100_000):
-    """Plane solve on the merged profile ``r``; see :func:`_axis`."""
+def _plane(a, r, cls, z, tol, y=None, max_iter=100_000, give_up=False):
+    """Plane solve on the merged profile ``r``; see :func:`_axis`.
+    ``give_up`` is passed to :func:`_stage`."""
     budget = _Budget(max_iter)
     if y is None:
         ims = _continuation_path(z.imag)
@@ -542,7 +552,7 @@ def _plane(a, r, cls, z, tol, y=None, max_iter=100_000):
         path = [z]
     for stage_z in path:
         stage_tol = tol if stage_z == z else max(tol, 1e-9)
-        y, _ = _stage(r, stage_z, -1.0, y, stage_tol, budget)
+        y, _ = _stage(r, stage_z, -1.0, y, stage_tol, budget, give_up=give_up)
     m = y[cls]
     m.flags.writeable = False
     res = _residual(a, z, -1.0, m)
@@ -562,6 +572,8 @@ def density_profile(
 ) -> DensityCurve:
     """Density of states ``rho(tau) = Im <m(tau + i epsilon)> / pi`` along a
     grid of real energies, warm-starting each point from its predecessor.
+    A warm start is abandoned for a cold solve (continuation from
+    ``Im z = 1``) as soon as it stalls.
 
     ``epsilon > 0`` controls the regularization; the curve converges to the
     true density as ``epsilon`` decreases (at a rate set by the local
@@ -578,7 +590,7 @@ def density_profile(
     for j, tau in enumerate(taus):
         z = _plane_point(complex(tau, epsilon))
         try:
-            sol, y = _plane(a, r, cls, z, tol, y, max_iter)
+            sol, y = _plane(a, r, cls, z, tol, y, max_iter, give_up=y is not None)
         except NonConvergenceError:
             if y is None:
                 raise

@@ -30,15 +30,15 @@ from typing import Mapping, Optional
 from .errors import (
     BadBoundaryError,
     InfeasibleError,
+    NoSupportError,
     NotDAGError,
     PreconditionViolatedError,
 )
 from .normal_form import (
     BlockRelation, ChainResult, NoSupportForm, NormalForm, VarianceProfile,
     as_profile, build_relation, longest_chain, no_support_normal_form,
-    pattern_of, symmetric_normal_form,
+    symmetric_normal_form,
 )
-from .patterns import has_support
 
 __all__ = [
     "Rational",
@@ -526,9 +526,10 @@ def analyze(s) -> Analysis:
     if isinstance(s, Analysis):
         return s
     profile = as_profile(s)
-    if not has_support(pattern_of(profile)):
+    try:
+        nf = symmetric_normal_form(profile)
+    except NoSupportError:
         return Analysis(profile, "NoSupport")
-    nf = symmetric_normal_form(profile)
     rel = build_relation(nf)
     support = "SupportOnly" if rel.edges else "TotalSupport"
     return Analysis(profile, support, nf, rel, longest_chain(rel), index_exponents(rel))

@@ -201,10 +201,10 @@ class ChainResult:
 # --- symmetric normal form ------------------------------------------------------
 
 
-def _undirected_components(adj_present: np.ndarray) -> list[list[int]]:
+def _undirected_components(adj) -> list[list[int]]:
     """Connected components (sorted, in order of smallest member) of the
-    undirected graph with an edge i-j iff i != j and adj_present[i, j]."""
-    k = adj_present.shape[0]
+    undirected graph with an edge i-j iff i != j and j is in adj[i]."""
+    k = len(adj)
     seen = [False] * k
     comps = []
     for start in range(k):
@@ -215,8 +215,8 @@ def _undirected_components(adj_present: np.ndarray) -> list[list[int]]:
         queue = [start]
         while queue:
             i = queue.pop()
-            for j in range(k):
-                if j != i and adj_present[i, j] and not seen[j]:
+            for j in adj[i]:
+                if not seen[j]:
                     seen[j] = True
                     comp.append(j)
                     queue.append(j)
@@ -224,29 +224,38 @@ def _undirected_components(adj_present: np.ndarray) -> list[list[int]]:
     return comps
 
 
-def _two_color(comp: list[int], skel: np.ndarray) -> tuple[list[int], list[int]]:
+def _sub_pattern(comp: list[int], adj) -> ZeroPattern:
+    """Pattern of the principal submatrix on a connected component."""
+    at = {v: t for t, v in enumerate(comp)}
+    rows = []
+    for i in comp:
+        row = [False] * len(comp)
+        for j in adj[i]:
+            row[at[j]] = True
+        rows.append(tuple(row))
+    return ZeroPattern(len(comp), tuple(rows))
+
+
+def _two_color(comp: list[int], adj) -> tuple[list[int], list[int]]:
     """Split a connected non-FID skeleton component into its two sides.
 
-    Every skeleton entry inside the component must join opposite sides
-    (in particular no diagonal skeleton entry may occur); the side of the
+    ``adj`` holds the (symmetric) skeleton's row adjacency lists.  Every
+    skeleton entry inside the component must join opposite sides (in
+    particular no diagonal skeleton entry may occur); the side of the
     smallest index comes first. StructureViolationError otherwise.
     """
     color: dict[int, int] = {comp[0]: 0}
     queue = [comp[0]]
     while queue:
         i = queue.pop()
-        for j in comp:
-            if j != i and (skel[i, j] or skel[j, i]):
-                if j not in color:
-                    color[j] = 1 - color[i]
-                    queue.append(j)
-    for i in comp:
-        for j in comp:
-            if skel[i, j] and color[i] == color[j]:
-                raise StructureViolationError(
-                    "skeleton component is neither fully indecomposable nor "
-                    "two-sided"
-                )
+        for j in adj[i]:
+            if j not in color:
+                color[j] = 1 - color[i]
+                queue.append(j)
+    if any(color[i] == color[j] for i in comp for j in adj[i]):
+        raise StructureViolationError(
+            "skeleton component is neither fully indecomposable nor two-sided"
+        )
     side0 = [i for i in comp if color[i] == 0]
     side1 = [i for i in comp if color[i] == 1]
     if len(side0) != len(side1):
@@ -272,22 +281,19 @@ def symmetric_normal_form(s) -> NormalForm:
     """
     profile = as_profile(s)
     pat = pattern_of(profile)
-    skel_res = fid_skeleton(pat)  # NoSupportError when there is no support
-    skel = np.array(skel_res.on_diagonal, dtype=bool)
+    skel = fid_skeleton(pat).skeleton  # NoSupportError when there is no support
+    adj = [skel.row_indices(i) for i in range(skel.k)]
     present = profile.entries != 0
 
     # sides: (indices, partner_side_id); middles partner themselves
     side_indices: list[list[int]] = []
     side_partner: list[int] = []
-    for comp in _undirected_components(skel):
-        sub = ZeroPattern(len(comp), tuple(
-            tuple(bool(skel[i, j]) for j in comp) for i in comp
-        ))
-        if is_fully_indecomposable(sub):
+    for comp in _undirected_components(adj):
+        if is_fully_indecomposable(_sub_pattern(comp, adj)):
             side_indices.append(comp)
             side_partner.append(len(side_partner))
         else:
-            side0, side1 = _two_color(comp, skel)
+            side0, side1 = _two_color(comp, adj)
             a = len(side_indices)
             side_indices.append(side0)
             side_indices.append(side1)

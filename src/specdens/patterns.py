@@ -24,8 +24,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations
+from functools import cached_property
+from itertools import combinations, compress, permutations
 from typing import Optional, Sequence
+
+import numpy as np
 
 from .errors import NoSupportError, TooLargeError, ZeroRowError
 
@@ -63,11 +66,14 @@ class ZeroPattern:
     def from_matrix(cls, entries) -> "ZeroPattern":
         """Pattern of a square matrix; an entry is present iff it is exactly
         non-zero."""
-        rows = [list(r) for r in entries]
+        if isinstance(entries, np.ndarray) and entries.ndim == 2:
+            rows = (entries != 0).tolist()
+        else:
+            rows = [[x != 0 for x in r] for r in entries]
         k = len(rows)
         if any(len(r) != k for r in rows):
             raise ValueError("matrix must be square")
-        return cls(k, tuple(tuple(x != 0 for x in r) for r in rows))
+        return cls(k, tuple(map(tuple, rows)))
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> "ZeroPattern":
@@ -85,9 +91,15 @@ class ZeroPattern:
             ),
         )
 
+    @cached_property
+    def _adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """Present columns of every row, ascending."""
+        cols = range(self.k)
+        return tuple(tuple(compress(cols, row)) for row in self.present)
+
     def row_indices(self, i: int) -> list[int]:
         """Columns present in row i, ascending."""
-        return [j for j in range(self.k) if self.present[i][j]]
+        return list(self._adjacency[i])
 
 
 @dataclass(frozen=True)
@@ -133,25 +145,52 @@ class SkeletonResult:
 def augmenting_matching(
     adj: Sequence[Sequence[int]], n_cols: int
 ) -> list[Optional[int]]:
-    """Maximum matching of rows to columns by augmenting paths; returns, for
-    each column, its matched row (None if unmatched).
+    """Maximum matching of rows to columns; returns, for each column, its
+    matched row (None if unmatched).
 
     ``adj[r]`` lists the columns row r may take, in the order they are tried.
-    Rows are augmented in ascending order without greedy initialisation,
-    each by a depth-first search that starts with no column visited.  The
+    A greedy pass first gives each row, in ascending order, its first free
+    column.  Every row left unmatched, in ascending order, is then augmented
+    by a depth-first search with Duff's lookahead (MC21): a row entered by
+    the search first takes a free column if it has one, found through a
+    forward-only pointer into its list (a matched column never becomes free
+    again), and otherwise descends through its columns in list order.  The
     search keeps an explicit stack, so the length of an augmenting path is
-    not bounded by the interpreter's recursion limit."""
+    not bounded by the interpreter's recursion limit, and the result is a
+    pure function of ``adj``."""
     col_match: list[Optional[int]] = [None] * n_cols
-    for root in range(len(adj)):
-        visited = [False] * n_cols
-        # stack of (row, position of its next column to try); path[d] is the
-        # column through which stack[d + 1] was entered
+    # ahead[r]: position in adj[r] before which every column is matched
+    ahead = [0] * len(adj)
+    unmatched = []
+    for r, cols in enumerate(adj):
+        for pos, c in enumerate(cols):
+            if col_match[c] is None:
+                col_match[c] = r
+                ahead[r] = pos + 1
+                break
+        else:
+            ahead[r] = len(cols)
+            unmatched.append(r)
+    visited = [-1] * n_cols  # the root whose search last visited the column
+    for root in unmatched:
+        # stack of (row, position of its next column to descend through);
+        # path[d] is the column through which stack[d + 1] was entered
         stack = [(root, 0)]
         path: list[int] = []
         while stack:
             r, pos = stack[-1]
             cols = adj[r]
-            while pos < len(cols) and visited[cols[pos]]:
+            la = ahead[r]
+            while la < len(cols) and col_match[cols[la]] is not None:
+                la += 1
+            ahead[r] = la
+            if la < len(cols):
+                # augment: each row on the stack takes the column it chose
+                path.append(cols[la])
+                for (row, _), col in zip(stack, path):
+                    col_match[col] = row
+                break
+            while pos < len(cols) and visited[cols[pos]] == root:
                 pos += 1
             if pos == len(cols):
                 stack.pop()
@@ -159,13 +198,8 @@ def augmenting_matching(
                     path.pop()
                 continue
             c = cols[pos]
-            visited[c] = True
+            visited[c] = root
             stack[-1] = (r, pos + 1)
-            if col_match[c] is None:
-                # augment: each row on the stack takes the column it chose
-                for (row, _), col in zip(stack, path + [c]):
-                    col_match[col] = row
-                break
             path.append(c)
             stack.append((col_match[c], 0))
     return col_match
@@ -198,13 +232,15 @@ def alternating_reach(
 
 
 def max_bipartite_matching(p: ZeroPattern) -> MatchingResult:
-    """Maximum matching rows -> columns via augmenting paths.
+    """Maximum matching rows -> columns by :func:`augmenting_matching`, with
+    every row's columns in ascending order.
 
-    Deterministic: rows are processed in ascending order and augmenting
-    searches scan columns in ascending order, so the matching is a pure
-    function of the pattern."""
+    Deterministic: the matching is a pure function of the pattern.  Which
+    maximum matching is returned is not part of the contract; everything
+    derived from it here (support, skeleton, full indecomposability, the
+    zero-submatrix witness) is the same for every maximum matching."""
     k = p.k
-    col_match = augmenting_matching([p.row_indices(i) for i in range(k)], k)
+    col_match = augmenting_matching(p._adjacency, k)
     row_match: list[Optional[int]] = [None] * k
     for j, i in enumerate(col_match):
         if i is not None:
@@ -233,38 +269,38 @@ def _strongly_connected_components(adj: list[list[int]]) -> list[int]:
     for root in range(n):
         if index[root] != -1:
             continue
-        work = [(root, 0)]
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack[root] = True
+        # each frame holds a vertex and the iterator over its remaining edges
+        work = [(root, iter(adj[root]))]
         while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            for next_pi in range(pi, len(adj[v])):
-                w = adj[v][next_pi]
+            v, edges = work[-1]
+            for w in edges:
                 if index[w] == -1:
-                    work[-1] = (v, next_pi + 1)
-                    work.append((w, 0))
-                    advanced = True
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    on_stack[w] = True
+                    work.append((w, iter(adj[w])))
                     break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if low[v] == index[v]:
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp[w] = n_comp
-                    if w == v:
-                        break
-                n_comp += 1
-            if work:
-                u, _ = work[-1]
-                low[u] = min(low[u], low[v])
+                if on_stack[w] and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if low[v] == index[v]:
+                    while True:
+                        w = stack.pop()
+                        on_stack[w] = False
+                        comp[w] = n_comp
+                        if w == v:
+                            break
+                    n_comp += 1
+                if work:
+                    u = work[-1][0]
+                    if low[v] < low[u]:
+                        low[u] = low[v]
     return comp
 
 
@@ -272,11 +308,19 @@ def _diagonalized_digraph(p: ZeroPattern, row_match: Sequence[int]) -> list[list
     """Digraph of the column permutation that puts the matching on the
     diagonal: vertex c stands for (row c, column row_match[c]); there is an
     edge i -> c iff entry (i, row_match[c]) is present (self-loops omitted)."""
-    k = p.k
+    col_to_c = _inverse(row_match)
     return [
-        [c for c in range(k) if c != i and p.present[i][row_match[c]]]
-        for i in range(k)
+        [c for c in map(col_to_c.__getitem__, cols) if c != i]
+        for i, cols in enumerate(p._adjacency)
     ]
+
+
+def _inverse(row_match: Sequence[int]) -> list[int]:
+    """Row matched to each column of a perfect matching."""
+    inv = [0] * len(row_match)
+    for i, j in enumerate(row_match):
+        inv[j] = i
+    return inv
 
 
 def is_fully_indecomposable(p: ZeroPattern) -> bool:
@@ -306,27 +350,25 @@ def fid_skeleton(p: ZeroPattern) -> SkeletonResult:
         raise NoSupportError("pattern has no positive diagonal")
     k = p.k
     comp = _strongly_connected_components(_diagonalized_digraph(p, m.row_match))
-    col_of = m.row_match
-    col_to_c = [0] * k
-    for c in range(k):
-        col_to_c[col_of[c]] = c
-    on_diag = tuple(
-        tuple(
-            p.present[i][j] and (i == col_to_c[j] or comp[i] == comp[col_to_c[j]])
-            for j in range(k)
-        )
-        for i in range(k)
-    )
+    col_to_c = _inverse(m.row_match)
+    on_diag = []
+    for i, cols in enumerate(p._adjacency):
+        row = [False] * k
+        for j in cols:
+            c = col_to_c[j]
+            row[j] = i == c or comp[i] == comp[c]
+        on_diag.append(tuple(row))
+    on_diag = tuple(on_diag)
     return SkeletonResult(on_diag, ZeroPattern(k, on_diag))
 
 
 def has_total_support(p: ZeroPattern) -> bool:
     """True iff every present entry lies on some positive diagonal (and at
     least one exists)."""
-    m = max_bipartite_matching(p)
-    if not m.perfect:
+    try:
+        return fid_skeleton(p).on_diagonal == p.present
+    except NoSupportError:
         return False
-    return fid_skeleton(p).on_diagonal == p.present
 
 
 def maximal_zero_submatrix(p: ZeroPattern) -> SupportClass:
@@ -338,10 +380,10 @@ def maximal_zero_submatrix(p: ZeroPattern) -> SupportClass:
     I, J with the I x J submatrix all-zero and |I| + |J| = 2K - max_matching,
     the maximum possible perimeter; kappa = (|I| + |J| - K) / K."""
     k = p.k
+    adj = p._adjacency
     for i in range(k):
-        if not any(p.present[i]):
+        if not adj[i]:
             raise ZeroRowError(f"row {i} is entirely zero")
-    adj = [p.row_indices(i) for i in range(k)]
     col_match = augmenting_matching(adj, k)
     size = k - col_match.count(None)
     if size == k:

@@ -3,12 +3,21 @@
 import hashlib
 import json
 import sys
+import time
 
 import pytest
 
 import specdens
 import specdens.cli as cli
-from specdens.errors import NonConvergenceError
+from specdens.errors import (
+    CyclicRelationError,
+    EigFailureError,
+    HasSupportError,
+    ImaginarySignLostError,
+    NonConvergenceError,
+    SingularMatrixError,
+    SpecdensError,
+)
 from specdens.report import canonical_json
 
 ARROW_CSV = "1,1\n1,0\n"
@@ -234,6 +243,20 @@ def test_solver_commands_are_byte_identical(tmp_path, capsys, name, command):
     assert hashlib.sha256(out.encode()).hexdigest() == SOLVER_OUTPUT_SHA256[name, command]
 
 
+def test_density_abandons_a_stalled_warm_start(arrow_file, capsys):
+    # at tau = 0.1 the warm start from the previous point stalls, and the
+    # point is solved cold; the digest was captured when the stalled warm
+    # start still ran its whole 100,000-iteration budget first (about 1 s)
+    t0 = time.perf_counter()
+    assert cli.main(["density", arrow_file, "--points", "51"]) == 0
+    elapsed = time.perf_counter() - t0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "a74f61c28a6cb5c8e68553a7790dfff9583f9156f0b1cf03024739afc3d78704"
+    )
+    assert elapsed < 0.5
+
+
 def test_exit_code_invalid_argument(arrow_file, capsys):
     assert cli.main(["density", arrow_file, "--epsilon", "0"]) == 2
     captured = capsys.readouterr()
@@ -266,3 +289,35 @@ def test_exit_code_non_convergence(arrow_file, capsys, monkeypatch):
     monkeypatch.setattr(cli, "empirical_exponents", boom)
     assert cli.main(["scaling", arrow_file]) == 5
     capsys.readouterr()
+
+
+def _raiser(exc):
+    def boom(*args, **kwargs):
+        raise exc
+
+    return boom
+
+
+@pytest.mark.parametrize(
+    "command, target, exc, code",
+    [
+        ("classify", "classification_document",
+         CyclicRelationError("block relation contains a cycle"), 4),
+        ("classify", "classification_document",
+         HasSupportError("profile has a positive diagonal"), 1),
+        ("density", "density_profile",
+         ImaginarySignLostError("iterate left the upper half-plane"), 5),
+        ("simulate", "run_sweep", EigFailureError("eigvalsh failed"), 5),
+        ("classify", "classification_document", SpecdensError("base"), 6),
+        ("simulate", "run_sweep", SingularMatrixError("singular"), 6),
+    ],
+    ids=["cyclic", "has_support", "imaginary_sign", "eig_failure",
+         "base", "unmapped_subclass"],
+)
+def test_exit_code_package_errors(arrow_file, capsys, monkeypatch,
+                                  command, target, exc, code):
+    monkeypatch.setattr(cli, target, _raiser(exc))
+    assert cli.main([command, arrow_file]) == code
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and "error: " in err and str(exc) in err

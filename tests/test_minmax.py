@@ -1,10 +1,13 @@
 """Tests for min-max averaging problems and block exponents."""
 
 import random
+import sys
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
+import specdens.patterns
 from specdens.errors import (
     BadBoundaryError,
     InfeasibleError,
@@ -13,6 +16,7 @@ from specdens.errors import (
 )
 from specdens.minmax import (
     BoundaryProblem,
+    analyze,
     fixed_point_oracle,
     index_exponents,
     relation_problem,
@@ -22,7 +26,7 @@ from specdens.minmax import (
 )
 from specdens.normal_form import build_relation, symmetric_normal_form
 
-from test_normal_form import branchy_mask_form
+from test_normal_form import BIG_EXAMPLE, branchy_mask_form
 
 
 def chain_problem(n_interior):
@@ -286,3 +290,29 @@ def test_random_problems_solve_verify_and_match_oracle():
         if orc.converged:
             for v in p.vertices:
                 assert abs(orc.values[v] - float(sol.values[v])) < 1e-9
+
+
+@pytest.mark.parametrize(
+    "entries, support_class, calls",
+    [
+        ([[1, 1], [1, 0]], "SupportOnly", 4),
+        (BIG_EXAMPLE, "SupportOnly", 12),
+        ([[0, 0, 1], [0, 0, 1], [1, 1, 1]], "NoSupport", 1),
+    ],
+    ids=["arrow", "reference", "no_support"],
+)
+def test_analyze_matching_calls(monkeypatch, entries, support_class, calls):
+    # one support test per analysis: the skeleton's matching decides it
+    original = specdens.patterns.augmenting_matching
+    count = [0]
+
+    def counted(*args, **kwargs):
+        count[0] += 1
+        return original(*args, **kwargs)
+
+    for module in list(sys.modules.values()):
+        if (getattr(module, "__name__", "").startswith("specdens")
+                and getattr(module, "augmenting_matching", None) is original):
+            monkeypatch.setattr(module, "augmenting_matching", counted)
+    assert analyze(np.array(entries, dtype=float)).support_class == support_class
+    assert count[0] == calls

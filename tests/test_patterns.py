@@ -3,9 +3,12 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from specdens import normal_form, patterns
 from specdens.errors import NoSupportError, TooLargeError, ZeroRowError
+from specdens.normal_form import _strong_hall
 from specdens.patterns import (
     ZeroPattern,
     brute_force_oracle,
@@ -16,6 +19,8 @@ from specdens.patterns import (
     max_bipartite_matching,
     maximal_zero_submatrix,
 )
+
+from test_normal_form import BIG_EXAMPLE
 
 
 def pat(rows):
@@ -198,22 +203,151 @@ def test_oracle_limit():
         brute_force_oracle(pat([[1] * 9 for _ in range(9)]), "support")
 
 
+def _assert_oracle_agreement(p):
+    m = max_bipartite_matching(p)
+    _assert_maximum_matching(p, m.row_match, m.size)
+    assert m.perfect == has_support(p) == brute_force_oracle(p, "support")
+    assert has_total_support(p) == brute_force_oracle(p, "total_support")
+    assert is_fully_indecomposable(p) == brute_force_oracle(p, "fid")
+    if m.perfect:
+        assert fid_skeleton(p).on_diagonal == brute_force_oracle(p, "skeleton")
+    elif all(any(row) for row in p.present):
+        res = maximal_zero_submatrix(p)
+        perimeter, _, _ = brute_force_oracle(p, "max_zero")
+        assert len(res.witness_i) + len(res.witness_j) == perimeter
+        assert all(not p.present[i][j] for i in res.witness_i for j in res.witness_j)
+
+
 def test_oracle_agreement_random():
     rng = random.Random(23)
     for _ in range(250):
         k = rng.randint(1, 6)
-        p = random_pattern(rng, k, rng.choice([0.25, 0.45, 0.7]))
-        assert has_support(p) == brute_force_oracle(p, "support")
-        assert has_total_support(p) == brute_force_oracle(p, "total_support")
-        assert is_fully_indecomposable(p) == brute_force_oracle(p, "fid")
-        if has_support(p):
-            assert fid_skeleton(p).on_diagonal == brute_force_oracle(p, "skeleton")
-        elif all(any(row) for row in p.present):
-            res = maximal_zero_submatrix(p)
-            perimeter, _, _ = brute_force_oracle(p, "max_zero")
-            assert len(res.witness_i) + len(res.witness_j) == perimeter
+        _assert_oracle_agreement(random_pattern(rng, k, rng.choice([0.25, 0.45, 0.7])))
+    # up to the oracle's limit, a third of them with a planted diagonal
+    rng = random.Random(37)
+    for n in range(120):
+        k = rng.randint(7, 8)
+        rows = [[rng.random() < rng.choice([0.2, 0.4, 0.7]) for _ in range(k)]
+                for _ in range(k)]
+        if n % 3 == 0:
+            for i in range(k):
+                rows[i][(i + n) % k] = True
+        _assert_oracle_agreement(pat(rows))
 
 
 def test_oracle_rejects_unknown_query():
     with pytest.raises(ValueError):
         brute_force_oracle(pat([[1]]), "banana")
+
+
+# --- the matching kernel against its predecessor ----------------------------------------
+
+
+def _reference_matching(adj, n_cols):
+    """The augmenting-path kernel without greedy start or lookahead: rows in
+    ascending order, each by a depth-first search over its columns in list
+    order that starts with no column visited."""
+    col_match = [None] * n_cols
+    for root in range(len(adj)):
+        visited = [False] * n_cols
+        stack = [(root, 0)]
+        path = []
+        while stack:
+            r, pos = stack[-1]
+            cols = adj[r]
+            while pos < len(cols) and visited[cols[pos]]:
+                pos += 1
+            if pos == len(cols):
+                stack.pop()
+                if path:
+                    path.pop()
+                continue
+            c = cols[pos]
+            visited[c] = True
+            stack[-1] = (r, pos + 1)
+            if col_match[c] is None:
+                for (row, _), col in zip(stack, path + [c]):
+                    col_match[col] = row
+                break
+            path.append(c)
+            stack.append((col_match[c], 0))
+    return col_match
+
+
+def _square_cases():
+    """Seeded square patterns, K <= 40 at several densities (a third with a
+    planted positive diagonal, a third with a planted entry in every row),
+    plus permuted K = 200 blow-ups of the 10 x 10 reference profile."""
+    rng = random.Random(29)
+    cases = []
+    for n in range(2001):
+        k = rng.randint(1, 40)
+        density = rng.choice([0.03, 0.08, 0.15, 0.3, 0.5, 0.8])
+        rows = [[rng.random() < density for _ in range(k)] for _ in range(k)]
+        sigma = list(range(k))
+        rng.shuffle(sigma)
+        for i in range(k):
+            if n % 3 == 1:
+                rows[i][sigma[i]] = True
+            elif n % 3 == 2:
+                rows[i][rng.randrange(k)] = True
+        cases.append(pat(rows))
+    blowup = pat(np.kron(BIG_EXAMPLE, np.ones((20, 20))) != 0)
+    for _ in range(4):
+        rp, cp = list(range(200)), list(range(200))
+        rng.shuffle(rp)
+        rng.shuffle(cp)
+        cases.append(blowup.permuted(rp, rp))
+        cases.append(blowup.permuted(rp, cp))
+    return cases
+
+
+def _rectangular_cases():
+    rng = np.random.default_rng(31)
+    cases = []
+    for _ in range(400):
+        rows = int(rng.integers(1, 13))
+        cols = rows + int(rng.integers(0, 13))
+        cases.append(rng.random((rows, cols)) < rng.choice([0.1, 0.25, 0.5, 0.8]))
+    return cases
+
+
+def _kernel_outputs(p):
+    """Everything the package derives from a maximum matching of p."""
+    m = max_bipartite_matching(p)
+    out = {
+        "size": m.size,
+        "fid": is_fully_indecomposable(p),
+        "total_support": has_total_support(p),
+    }
+    if m.perfect:
+        out["skeleton"] = fid_skeleton(p).on_diagonal
+    elif all(any(row) for row in p.present):
+        res = maximal_zero_submatrix(p)
+        out["witness"] = (res.witness_i, res.witness_j, res.kappa)
+    return out
+
+
+def _assert_maximum_matching(p, row_match, size):
+    cols = [j for j in row_match if j is not None]
+    assert len(cols) == len(set(cols)) == size
+    assert all(j is None or p.present[i][j] for i, j in enumerate(row_match))
+
+
+def test_kernel_agrees_with_reference_kernel(monkeypatch):
+    squares, rects = _square_cases(), _rectangular_cases()
+    new = [_kernel_outputs(p) for p in squares]
+    new_matches = [max_bipartite_matching(p).row_match for p in squares]
+    new_hall = [_strong_hall(r) for r in rects]
+    monkeypatch.setattr(patterns, "augmenting_matching", _reference_matching)
+    monkeypatch.setattr(normal_form, "augmenting_matching", _reference_matching)
+    ref = [_kernel_outputs(p) for p in squares]
+    ref_matches = [max_bipartite_matching(p).row_match for p in squares]
+    for p, row_match, out, expected in zip(squares, new_matches, new, ref):
+        _assert_maximum_matching(p, row_match, expected["size"])
+        assert out == expected
+    assert [_strong_hall(r) for r in rects] == new_hall
+    # the two kernels often pick different maximum matchings, and nothing
+    # derived from the matching notices
+    assert sum(a != b for a, b in zip(new_matches, ref_matches)) > 100
+    assert 0 < sum(new_hall) < len(new_hall)
