@@ -43,6 +43,7 @@ from .errors import (
     NotDAGError,
     NotSymmetricError,
     PreconditionViolatedError,
+    SelfCheckError,
     SingularMatrixError,
     SpecdensError,
     StructureViolationError,

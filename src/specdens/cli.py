@@ -22,9 +22,9 @@ or a profile without support where support is required, or with support
 where its absence is required); 2 unreadable or invalid profile, or an
 invalid argument value (such as a non-positive ``--epsilon``); 3 profile
 with an identically zero row; 4 internal structure violation (including a
-cyclic block relation); 5 numerical failure (solver non-convergence, an
-iterate leaving the upper half-plane, a failed eigendecomposition); 6 any
-other error of the package.
+cyclic block relation) or a result failing its self-check; 5 numerical
+failure (solver non-convergence, an iterate leaving the upper half-plane,
+a failed eigendecomposition); 6 any other error of the package.
 """
 
 from __future__ import annotations
@@ -50,6 +50,7 @@ from .errors import (
     NonPositiveInputError,
     NoSupportError,
     NotSymmetricError,
+    SelfCheckError,
     SpecdensError,
     StructureViolationError,
     ZeroRowError,
@@ -296,7 +297,7 @@ def main(argv=None) -> int:
     except HasSupportError as exc:
         print(f"error: profile has support: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
-    except (StructureViolationError, CyclicRelationError) as exc:
+    except (StructureViolationError, CyclicRelationError, SelfCheckError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_STRUCTURE
     except (NonConvergenceError, ImaginarySignLostError, EigFailureError) as exc:

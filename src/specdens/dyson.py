@@ -47,6 +47,7 @@ from .errors import (
     NonConvergenceError,
     NonPositiveInputError,
     NoSupportError,
+    SelfCheckError,
     ZeroRowError,
 )
 from .minmax import Analysis, IndexExponents, analyze
@@ -213,16 +214,17 @@ class QuantileFit:
 # --- shared validation ----------------------------------------------------------
 
 
-def _solver_system(s) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Validated dense profile matrix ``a`` with its identical rows merged,
-    ``(a, r, cls)`` (see :func:`_lumped`); rejects rows with no non-zero
-    entry (the corresponding component would equal 1/eta identically and
-    the density would not be a function)."""
+def _solver_system(s) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """Validated dense profile matrix ``a`` with its identical rows merged
+    and its max row sum, ``(a, r, cls, row_max)`` (see :func:`_lumped` and
+    :func:`_assert_axis_bounds`); rejects rows with no non-zero entry (the
+    corresponding component would equal 1/eta identically and the density
+    would not be a function)."""
     a = as_profile(s).entries
     zero_rows = np.flatnonzero(~(a != 0).any(axis=1))
     if zero_rows.size:
         raise ZeroRowError(f"profile row {zero_rows[0]} is identically zero")
-    return (a, *_lumped(a))
+    return (a, *_lumped(a), float(a.sum(axis=1).max()))
 
 
 def _lumped(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -294,14 +296,16 @@ def _feasible(c: float, x: np.ndarray) -> bool:
     return bool((x > 0).all()) if c > 0 else bool((x.imag > 0).all())
 
 
-def _residual(a: np.ndarray, z, c: float, x: np.ndarray) -> float:
-    return float(np.max(np.abs(x * (z + a @ x) - c)))
+def _residual(a, z, c: float, x: np.ndarray) -> tuple[float, np.ndarray]:
+    """Max-norm of x * (z + S x) - c, and u = z + S x for the next step."""
+    u = z + a @ x
+    return float(np.max(np.abs(x * u - c))), u
 
 
-def _newton_step(a, z, c, x):
-    """One Newton step in multiplicative coordinates.
+def _newton_step(a, z, c, x, u):
+    """One Newton step in multiplicative coordinates, from x with u = z + S x.
 
-    Solves (diag(x*(z+Sx)) + diag(x) S diag(x)) y = -(x*(z+Sx) - c) and
+    Solves (diag(x*u) + diag(x) S diag(x)) y = -(x*u - c) and
     updates x <- x * (1 + t y), halving t only until the trial stays
     feasible; the column scaling by diag(x) keeps the linear system well
     conditioned even when x spans many orders of magnitude.  The step is
@@ -309,12 +313,12 @@ def _newton_step(a, z, c, x):
     zero-energy singularity the Jacobian is nearly singular along the
     pair-scaling direction and the residual rises sharply for one step
     before quadratic contraction sets in; a monotone line search would
-    crawl.  Divergence is contained by the caller's watchdog."""
-    u = z + a @ x
-    g = x * u - c
-    jac = np.diag(x * u) + (x[:, None] * a) * x[None, :]
+    crawl.  Divergence is contained by the caller's watchdog.  Returns
+    (x, res, u) of the feasible trial, or None."""
+    xu = x * u
+    jac = np.diag(xu) + (x[:, None] * a) * x[None, :]
     try:
-        y = np.linalg.solve(jac, -g)
+        y = np.linalg.solve(jac, -(xu - c))
     except np.linalg.LinAlgError:
         return None
     if not np.isfinite(y).all():
@@ -323,25 +327,25 @@ def _newton_step(a, z, c, x):
     for _ in range(60):
         trial = x * (1.0 + t * y)
         if _feasible(c, trial):
-            return trial, _residual(a, z, c, trial)
+            return (trial, *_residual(a, z, c, trial))
         t *= 0.5
     return None
 
 
-def _damped_step(a, z, c, x, res, theta):
-    """One damped fixed-point sweep x <- (1-theta) x + theta * c / (z + S x),
-    halving theta until the residual does not increase.  The candidate is
-    feasible whenever x is, so the convex combination stays feasible for
-    every theta in (0, 1].  Returns (x, res, theta); theta is re-expanded
-    slowly on success."""
-    cand = c / (z + a @ x)
+def _damped_step(a, z, c, x, u, res, theta):
+    """One damped fixed-point sweep x <- (1-theta) x + theta * c / u, with
+    u = z + S x, halving theta until the residual does not increase.  The
+    candidate is feasible whenever x is, so the convex combination stays
+    feasible for every theta in (0, 1] in exact arithmetic.  Returns
+    (x, res, u, theta); theta is re-expanded slowly on success."""
+    cand = c / u
     while True:
         trial = (1.0 - theta) * x + theta * cand
-        r = _residual(a, z, c, trial)
+        r, u = _residual(a, z, c, trial)
         if r <= res or theta <= 1e-8:
             break
         theta *= 0.5
-    return trial, r, min(1.0, theta * 1.25)
+    return trial, r, u, min(1.0, theta * 1.25)
 
 
 _WATCHDOG = 20
@@ -349,7 +353,7 @@ _WATCHDOG = 20
 
 def _stage(a, z, c, x, tol, budget: _Budget, newton: bool = True,
            give_up: bool = False):
-    """Drive x to tolerance at fixed z.
+    """Drive x to tolerance at fixed z and return it.
 
     Newton steps are accepted without a monotonicity requirement; a
     watchdog tracks the best iterate seen and, after _WATCHDOG consecutive
@@ -358,9 +362,9 @@ def _stage(a, z, c, x, tol, budget: _Budget, newton: bool = True,
     ``give_up`` the stage raises NonConvergenceError instead, when the
     watchdog fires."""
     point = "eta" if c > 0 else "z"
-    res = _residual(a, z, c, x)
+    res, u = _residual(a, z, c, x)
     theta = 1.0
-    best_x, best_res = x, res
+    best_x, best_res, best_u = x, res, u
     stale = 0
     while res > tol:
         if budget.exhausted:
@@ -371,20 +375,20 @@ def _stage(a, z, c, x, tol, budget: _Budget, newton: bool = True,
             )
         stepped = None
         if newton and stale < _WATCHDOG:
-            stepped = _newton_step(a, z, c, x)
+            stepped = _newton_step(a, z, c, x, u)
         if stepped is None:
-            x, res, theta = _damped_step(a, z, c, x, res, theta)
+            x, res, u, theta = _damped_step(a, z, c, x, u, res, theta)
+            # feasible in exact arithmetic; only the plane solver reports an
+            # Im m that rounding pushed onto zero (a Newton trial is checked)
+            if c < 0 and not _feasible(c, x):
+                raise ImaginarySignLostError(
+                    f"iterate left the upper half-plane at z={z:g}"
+                )
         else:
-            x, res = stepped
+            x, res, u = stepped
         budget.spend()
-        # both steps keep x feasible in exact arithmetic; only the plane
-        # solver reports an Im m that rounding pushed onto zero
-        if c < 0 and not _feasible(c, x):
-            raise ImaginarySignLostError(
-                f"iterate left the upper half-plane at z={z:g}"
-            )
         if res < best_res * 0.9:
-            best_x, best_res, stale = x, res, 0
+            best_x, best_res, best_u, stale = x, res, u, 0
         else:
             stale += 1
             if stale == _WATCHDOG:
@@ -394,8 +398,8 @@ def _stage(a, z, c, x, tol, budget: _Budget, newton: bool = True,
                         f"{tol:g} after {budget.used} iterations",
                         residual=best_res,
                     )
-                x, res = best_x, best_res
-    return x, res
+                x, res, u = best_x, best_res, best_u
+    return x
 
 
 # --- solvers on the imaginary axis and in the upper half-plane -------------------
@@ -450,11 +454,15 @@ def solve_imaginary_axis(
     if method not in ("hybrid", "damped"):
         raise ValueError(f"unknown method {method!r}")
     eta = _axis_point(eta)
-    a, r, cls = _solver_system(s)
+    a, r, cls, row_max = _solver_system(s)
     y = None
     if start is not None:
         y = _class_mean(_positive_start(start, a.shape[0]), cls, r.shape[0])
-    return _axis(a, r, cls, eta, tol, y, max_iter, method == "hybrid")[0]
+    y, iterations = _axis(r, row_max, eta, tol, y, max_iter, method == "hybrid")
+    v = y[cls]
+    v.flags.writeable = False
+    res = _residual(a, eta, 1.0, v)[0]
+    return AxisSolution(eta=eta, v=v, residual=res, iterations=iterations)
 
 
 def _axis_point(eta) -> float:
@@ -463,10 +471,12 @@ def _axis_point(eta) -> float:
     return float(eta)
 
 
-def _axis(a, r, cls, eta, tol, y=None, max_iter=100_000, hybrid=True):
+def _axis(r, row_max, eta, tol, y=None, max_iter=100_000, hybrid=True):
     """Axis solve on the merged profile ``r`` from the merged start ``y``
-    (continuation when None).  Returns the solution on ``a`` and the merged
-    vector, the warm start for a next point."""
+    (continuation when None), checked against the a priori bounds.  Returns
+    the merged solution, also the warm start for a next point, and the
+    iteration count; callers expand it with the ``cls`` of
+    :func:`_solver_system`."""
     budget = _Budget(max_iter)
     if y is None:
         path = _continuation_path(eta)
@@ -475,23 +485,21 @@ def _axis(a, r, cls, eta, tol, y=None, max_iter=100_000, hybrid=True):
         path = [eta]
     for stage_eta in path:
         stage_tol = tol if stage_eta == eta else max(tol, 1e-10)
-        y, _ = _stage(r, stage_eta, 1.0, y, stage_tol, budget, hybrid)
-    v = y[cls]
-    _assert_axis_bounds(a, eta, v, tol)
-    v.flags.writeable = False
-    res = _residual(a, eta, 1.0, v)
-    return AxisSolution(eta=eta, v=v, residual=res, iterations=budget.used), y
+        y = _stage(r, stage_eta, 1.0, y, stage_tol, budget, hybrid)
+    _assert_axis_bounds(row_max, eta, y, tol)
+    return y, budget.used
 
 
-def _assert_axis_bounds(a, eta, v, tol):
-    """A priori bounds: the solution always satisfies v <= 1/eta and
-    v >= min(eta, 1/eta) / (1 + max row sum); violation beyond numerical
+def _assert_axis_bounds(row_max, eta, v, tol):
+    """A priori bounds: the solution (merged or not: the values are the
+    same) satisfies v <= 1/eta and v >= min(eta, 1/eta) / (1 + row_max),
+    row_max the max row sum of the profile; violation beyond numerical
     slack indicates an internal solver defect."""
     slack = 1.0 + 1e-9 + 10.0 * tol
     upper = 1.0 / eta
-    lower = min(eta, upper) / (1.0 + float(a.sum(axis=1).max()))
+    lower = min(eta, upper) / (1.0 + row_max)
     if (v > upper * slack).any() or (v < lower / slack).any():
-        raise RuntimeError(
+        raise SelfCheckError(
             "solver result violates the a priori bounds "
             f"[{lower:.3e}, {upper:.3e}] at eta={eta:g}"
         )
@@ -519,7 +527,7 @@ def solve_upper_half_plane(
     ZeroRowError, NonConvergenceError, ImaginarySignLostError, ValueError
     """
     z = _plane_point(z)
-    a, r, cls = _solver_system(s)
+    a, r, cls, _ = _solver_system(s)
     y = None
     if start is not None:
         m = np.asarray(start, dtype=complex)
@@ -528,7 +536,11 @@ def solve_upper_half_plane(
         if not (m.imag > 0).all():
             raise ImaginarySignLostError("start vector must have Im m > 0")
         y = _class_mean(m, cls, r.shape[0])
-    return _plane(a, r, cls, z, tol, y, max_iter)[0]
+    y, iterations = _plane(r, z, tol, y, max_iter)
+    m = y[cls]
+    m.flags.writeable = False
+    res = _residual(a, z, -1.0, m)[0]
+    return PlaneSolution(z=z, m=m, residual=res, iterations=iterations)
 
 
 def _plane_point(z) -> complex:
@@ -538,7 +550,7 @@ def _plane_point(z) -> complex:
     return z
 
 
-def _plane(a, r, cls, z, tol, y=None, max_iter=100_000, give_up=False):
+def _plane(r, z, tol, y=None, max_iter=100_000, give_up=False):
     """Plane solve on the merged profile ``r``; see :func:`_axis`.
     ``give_up`` is passed to :func:`_stage`."""
     budget = _Budget(max_iter)
@@ -552,11 +564,8 @@ def _plane(a, r, cls, z, tol, y=None, max_iter=100_000, give_up=False):
         path = [z]
     for stage_z in path:
         stage_tol = tol if stage_z == z else max(tol, 1e-9)
-        y, _ = _stage(r, stage_z, -1.0, y, stage_tol, budget, give_up=give_up)
-    m = y[cls]
-    m.flags.writeable = False
-    res = _residual(a, z, -1.0, m)
-    return PlaneSolution(z=z, m=m, residual=res, iterations=budget.used), y
+        y = _stage(r, stage_z, -1.0, y, stage_tol, budget, give_up=give_up)
+    return y, budget.used
 
 
 # --- density of states -----------------------------------------------------------
@@ -581,7 +590,7 @@ def density_profile(
     """
     if not (isinstance(epsilon, (int, float)) and epsilon > 0):
         raise NonPositiveInputError("epsilon must be strictly positive")
-    a, r, cls = _solver_system(s)
+    _, r, cls, _ = _solver_system(s)
     taus = np.asarray(tau_grid, dtype=float)
     if taus.ndim != 1 or taus.size == 0:
         raise ValueError("tau_grid must be a non-empty 1-D array")
@@ -590,12 +599,12 @@ def density_profile(
     for j, tau in enumerate(taus):
         z = _plane_point(complex(tau, epsilon))
         try:
-            sol, y = _plane(a, r, cls, z, tol, y, max_iter, give_up=y is not None)
+            y, _ = _plane(r, z, tol, y, max_iter, give_up=y is not None)
         except NonConvergenceError:
             if y is None:
                 raise
-            sol, y = _plane(a, r, cls, z, tol, None, max_iter)
-        rho[j] = float(sol.m.imag.mean() / math.pi)
+            y, _ = _plane(r, z, tol, None, max_iter)
+        rho[j] = float(y[cls].imag.mean() / math.pi)
     taus = taus.copy()
     taus.flags.writeable = False
     rho.flags.writeable = False
@@ -666,17 +675,17 @@ def empirical_exponents(
     an = _supported(s)
     nf, ex = an.nf, an.exponents
     etas = _geometric_grid(eta_max, eta_min, points_per_decade)
-    a, r, cls = _solver_system(an)
+    _, r, cls, row_max = _solver_system(an)
     n_blocks = nf.n_blocks
-    block_orig = [
-        [nf.perm[i] for i in nf.block_indices(b)] for b in range(n_blocks)
+    block_cls = [
+        cls[[nf.perm[i] for i in nf.block_indices(b)]] for b in range(n_blocks)
     ]
     avgs = np.empty((etas.size, n_blocks))
     y = None
     for p, eta in enumerate(etas):
-        sol, y = _axis(a, r, cls, float(eta), tol, y)
+        y, _ = _axis(r, row_max, float(eta), tol, y)
         for b in range(n_blocks):
-            avgs[p, b] = sol.v[block_orig[b]].mean()
+            avgs[p, b] = y[block_cls[b]].mean()
     log_eta = np.log(etas)
     fitted = tuple(
         float(np.polyfit(log_eta, np.log(avgs[:, b]), 1)[0])
@@ -730,18 +739,18 @@ def rescaled_profile(s) -> RescaledData:
         max_pred = max((ex.f[j] for j in preds[b]), default=-one)
         hb = Fraction(1, 2) * (min_succ - max_pred)
         if hb != min_succ - ex.f[b] or hb != ex.f[b] - max_pred:
-            raise RuntimeError(
+            raise SelfCheckError(
                 f"rate identities fail at block {b}: h={hb}, f={ex.f[b]}"
             )
         if hb <= 0:
-            raise RuntimeError(f"non-positive rate h={hb} at block {b}")
+            raise SelfCheckError(f"non-positive rate h={hb} at block {b}")
         h.append(hb)
         succ_sets.append(
             tuple(j for j in succs[b] if ex.f[j] == min_succ) if succs[b] else ()
         )
     for b in range(n):
         if h[b] != h[partner[b]]:
-            raise RuntimeError(f"rates differ across the pair ({b}, {partner[b]})")
+            raise SelfCheckError(f"rates differ across the pair ({b}, {partner[b]})")
 
     permuted = nf.permuted_profile
     k = permuted.shape[0]
@@ -757,7 +766,7 @@ def rescaled_profile(s) -> RescaledData:
 
     skel = fid_skeleton(pattern_of(permuted)).on_diagonal
     if not np.array_equal(s0 != 0, np.array(skel, dtype=bool)):
-        raise RuntimeError(
+        raise SelfCheckError(
             "pair blocks do not match the positive-diagonal entries"
         )
     s0.flags.writeable = False
@@ -792,20 +801,20 @@ def limit_weights(
     e1, e2 = (float(eta_pair[0]), float(eta_pair[1]))
     if not (e1 > e2 > 0):
         raise ValueError("eta_pair must be two descending positive values")
-    perm = list(data.nf.perm)
     # blocks are contiguous in the permuted order: one exponent per index
     f_idx = np.repeat([float(f) for f in data.exponents.f], data.nf.dims)
     q = data.exponents.Q
 
-    a, r, cls = _solver_system(an)
-    sol1, y = _axis(a, r, cls, _axis_point(e1), tol)
-    sol2, _ = _axis(a, r, cls, e2, tol, y)
-    x1 = sol1.v[perm] * e1**f_idx
-    x2 = sol2.v[perm] * e2**f_idx
+    _, r, cls, row_max = _solver_system(an)
+    perm_cls = cls[list(data.nf.perm)]  # merged entry of each permuted index
+    y1, _ = _axis(r, row_max, _axis_point(e1), tol)
+    y2, _ = _axis(r, row_max, e2, tol, y1)
+    x1 = y1[perm_cls] * e1**f_idx
+    x2 = y2[perm_cls] * e2**f_idx
     w1, w2 = e1 ** (1.0 / q), e2 ** (1.0 / q)
     w = x2 - w2 * (x1 - x2) / (w1 - w2)
     if not (w > 0).all():
-        raise RuntimeError(
+        raise SelfCheckError(
             "extrapolated weights are not positive; use smaller eta_pair"
         )
     residual = float(np.max(np.abs(w * (data.s0 @ w) - 1.0)))
@@ -887,12 +896,12 @@ def atom_mass_estimate(
     etas = tuple(sorted((float(e) for e in eta_grid), reverse=True))
     if not etas or etas[-1] <= 0:
         raise ValueError("eta_grid must contain positive values")
-    a, r, cls = _solver_system(an)
+    _, r, cls, row_max = _solver_system(an)
     estimates = []
     y = None
     for eta in etas:
-        sol, y = _axis(a, r, cls, _axis_point(eta), tol, y)
-        estimates.append(eta * float(sol.v.mean()))
+        y, _ = _axis(r, row_max, _axis_point(eta), tol, y)
+        estimates.append(eta * float(y[cls].mean()))
     return AtomMass(
         kappa_exact=kappa,
         kappa_numeric=estimates[-1],

@@ -47,6 +47,11 @@ class CyclicRelationError(SpecdensError):
     """The block relation derived from the mask contains a directed cycle."""
 
 
+class SelfCheckError(SpecdensError, RuntimeError):
+    """A result failed the package's own check of it (solver bounds, exact
+    identities of the exponents and rates, positive limit weights)."""
+
+
 # --- min-max boundary problems ------------------------------------------------
 
 

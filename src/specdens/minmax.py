@@ -33,6 +33,7 @@ from .errors import (
     NoSupportError,
     NotDAGError,
     PreconditionViolatedError,
+    SelfCheckError,
 )
 from .normal_form import (
     BlockRelation, ChainResult, NoSupportForm, NormalForm, VarianceProfile,
@@ -294,7 +295,7 @@ def solve_min_max(p: BoundaryProblem) -> ExponentSolution:
                 if best is None or key < best[0]:
                     best = (key, y, x, length)
         if best is None:
-            raise RuntimeError(
+            raise SelfCheckError(
                 "no assignable path found; boundary validation should have "
                 "caught this"
             )
@@ -304,7 +305,7 @@ def solve_min_max(p: BoundaryProblem) -> ExponentSolution:
                 f"negative slope {slope} between {y!r} and {x!r}"
             )
         if per_pick and slope < per_pick[-1]:
-            raise RuntimeError("stage slopes decreased; internal error")
+            raise SelfCheckError("stage slopes decreased; internal error")
         path = lex_smallest_path(y, x, length)
         for j, v in enumerate(path[1:-1], start=1):
             values[v] = values[y] + slope * j
@@ -321,10 +322,10 @@ def solve_min_max(p: BoundaryProblem) -> ExponentSolution:
             deltas.append(slope)
             stage_sets.append(snap)
     if any(a >= b for a, b in zip(deltas, deltas[1:])):
-        raise RuntimeError("stage deltas not strictly increasing")
+        raise SelfCheckError("stage deltas not strictly increasing")
 
     if not verify_solution(p, values):
-        raise RuntimeError("solution failed exact self-certification")
+        raise SelfCheckError("solution failed exact self-certification")
     return ExponentSolution(values, tuple(deltas), tuple(stage_sets))
 
 
@@ -480,12 +481,12 @@ def index_exponents(rel: BlockRelation) -> IndexExponents:
     sigma = max(f)
     for i, fi in enumerate(f):
         if not -1 < fi < 1:
-            raise RuntimeError(f"exponent f[{i}] = {fi} out of (-1, 1)")
+            raise SelfCheckError(f"exponent f[{i}] = {fi} out of (-1, 1)")
         if fi != -f[rel.partner[i]]:
-            raise RuntimeError("exponents are not antisymmetric under pairing")
+            raise SelfCheckError("exponents are not antisymmetric under pairing")
     ell = longest_chain(rel).length
     if sigma != Fraction(ell, ell + 2):
-        raise RuntimeError(
+        raise SelfCheckError(
             f"sigma = {sigma} does not match chain length {ell}"
         )
     q = math.lcm(*(fi.denominator for fi in f))

@@ -15,6 +15,7 @@ from specdens.errors import (
     HasSupportError,
     ImaginarySignLostError,
     NonConvergenceError,
+    SelfCheckError,
     SingularMatrixError,
     SpecdensError,
 )
@@ -305,14 +306,16 @@ def _raiser(exc):
          CyclicRelationError("block relation contains a cycle"), 4),
         ("classify", "classification_document",
          HasSupportError("profile has a positive diagonal"), 1),
+        ("scaling", "empirical_exponents",
+         SelfCheckError("solver result violates the a priori bounds"), 4),
         ("density", "density_profile",
          ImaginarySignLostError("iterate left the upper half-plane"), 5),
         ("simulate", "run_sweep", EigFailureError("eigvalsh failed"), 5),
         ("classify", "classification_document", SpecdensError("base"), 6),
         ("simulate", "run_sweep", SingularMatrixError("singular"), 6),
     ],
-    ids=["cyclic", "has_support", "imaginary_sign", "eig_failure",
-         "base", "unmapped_subclass"],
+    ids=["cyclic", "has_support", "self_check", "imaginary_sign",
+         "eig_failure", "base", "unmapped_subclass"],
 )
 def test_exit_code_package_errors(arrow_file, capsys, monkeypatch,
                                   command, target, exc, code):

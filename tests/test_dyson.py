@@ -227,55 +227,172 @@ def test_merged_rows_match_the_block_profile(s, b):
     assert np.max(np.abs(x.rho / y.rho - 1.0)) < 1e-12
 
 
-def _reference_solve(a, z, c, tol, start=None):
-    """The solve on the full matrix, without merging rows: continuation from
-    the cold start of each solver, or one stage from ``start``."""
+# A frozen reference copy of the solver kernel (residual, Newton step,
+# damped step, stage driver), written plainly: every step recomputes
+# z + S x from its own iterate.  The solvers must reproduce it bit for bit,
+# so any change of the kernel's arithmetic shows here.
+
+
+def _reference_feasible(c, x):
+    return bool((x > 0).all()) if c > 0 else bool((x.imag > 0).all())
+
+
+def _reference_residual(a, z, c, x):
+    return float(np.max(np.abs(x * (z + a @ x) - c)))
+
+
+def _reference_newton_step(a, z, c, x):
+    u = z + a @ x
+    g = x * u - c
+    jac = np.diag(x * u) + (x[:, None] * a) * x[None, :]
+    try:
+        y = np.linalg.solve(jac, -g)
+    except np.linalg.LinAlgError:
+        return None
+    if not np.isfinite(y).all():
+        return None
+    t = 1.0
+    for _ in range(60):
+        trial = x * (1.0 + t * y)
+        if _reference_feasible(c, trial):
+            return trial, _reference_residual(a, z, c, trial)
+        t *= 0.5
+    return None
+
+
+def _reference_damped_step(a, z, c, x, res, theta):
+    cand = c / (z + a @ x)
+    while True:
+        trial = (1.0 - theta) * x + theta * cand
+        r = _reference_residual(a, z, c, trial)
+        if r <= res or theta <= 1e-8:
+            break
+        theta *= 0.5
+    return trial, r, min(1.0, theta * 1.25)
+
+
+def _reference_stage(a, z, c, x, tol, budget, newton=True, give_up=False):
+    res = _reference_residual(a, z, c, x)
+    theta = 1.0
+    best_x, best_res = x, res
+    stale = 0
+    while res > tol:
+        if budget.exhausted:
+            raise NonConvergenceError("budget exhausted", residual=res)
+        stepped = None
+        if newton and stale < 20:
+            stepped = _reference_newton_step(a, z, c, x)
+        if stepped is None:
+            x, res, theta = _reference_damped_step(a, z, c, x, res, theta)
+        else:
+            x, res = stepped
+        budget.spend()
+        if c < 0 and not _reference_feasible(c, x):
+            raise ImaginarySignLostError("left the upper half-plane")
+        if res < best_res * 0.9:
+            best_x, best_res, stale = x, res, 0
+        else:
+            stale += 1
+            if stale == 20:
+                if give_up:
+                    raise NonConvergenceError("stalled", residual=best_res)
+                x, res = best_x, best_res
+    return x, res
+
+
+def _reference_solve(r, z, c, tol, start=None, newton=True):
+    """The solve on the merged matrix ``r`` with the reference kernel:
+    continuation from the cold start of each solver, or one stage from
+    ``start`` that gives up when it stalls.  Returns the solution on ``r``
+    and the iteration count."""
     budget = dyson._Budget(100_000)
     if start is not None:
         x, path = start, [z]
     elif c > 0:
         path = dyson._continuation_path(z)
-        x = 1.0 / (path[0] + a.sum(axis=1) / path[0])
+        x = 1.0 / (path[0] + r.sum(axis=1) / path[0])
     else:
         path = [complex(z.real, im) for im in dyson._continuation_path(z.imag)]
-        x = np.full(a.shape[0], -1.0 / path[0], dtype=complex)
+        x = np.full(r.shape[0], -1.0 / path[0], dtype=complex)
     floor = 1e-10 if c > 0 else 1e-9
     for point in path:
-        x, res = dyson._stage(
-            a, point, c, x, tol if point == z else max(tol, floor), budget
+        x, _ = _reference_stage(
+            r, point, c, x, tol if point == z else max(tol, floor), budget,
+            newton, give_up=start is not None,
         )
-    return x, res, budget.used
+    return x, budget.used
+
+
+def _random_profile(seed, k=12):
+    rng = np.random.default_rng(seed)
+    g = rng.uniform(0.0, 2.0, (k, k)) * (rng.uniform(size=(k, k)) < 0.5)
+    return np.triu(g) + np.triu(g, 1).T + np.eye(k)
+
+
+def _rescaled(s, c, seed):
+    """``c`` times a seeded symmetric permutation of ``s``."""
+    perm = np.random.default_rng(seed).permutation(len(s))
+    return c * np.asarray(s, dtype=float)[np.ix_(perm, perm)]
+
+
+def _merged_blowup(s, b, seed):
+    """A blow-up of ``s`` by ``b`` (see :func:`_blown_up`), its merged
+    matrix and the class of each index, built from the blocks: classes
+    are numbered by first occurrence and ``b * s`` equals the sum of the
+    ``b`` equal entries of each class, bit for bit."""
+    big, block = _blown_up(s, b, seed)
+    order = list(dict.fromkeys(block.tolist()))
+    rank = {k: i for i, k in enumerate(order)}
+    merged = b * np.asarray(s, dtype=float)[np.ix_(order, order)]
+    return big, 1.0, (merged, np.array([rank[k] for k in block]))
 
 
 @pytest.mark.parametrize(
-    "s", [ARROW, CHAIN3, BIG_EXAMPLE, "random"], ids=["arrow", "chain3", "big", "random"]
+    "a, c, merged",
+    [
+        (ARROW, 1.0, None),
+        (CHAIN3, 1.0, None),
+        (BIG_EXAMPLE, 1.0, None),
+        (_random_profile(11), 1.0, None),
+        (_rescaled(BIG_EXAMPLE, 10**2.5, seed=1), 10**2.5, None),
+        (_rescaled(BIG_EXAMPLE, 10**-2.5, seed=2), 10**-2.5, None),
+        _merged_blowup(BIG_EXAMPLE, 3, seed=3),
+    ],
+    ids=["arrow", "chain3", "big", "random", "big_c1e+2.5", "big_c1e-2.5",
+         "big_blowup3"],
 )
-def test_distinct_rows_solve_bit_identically(s):
-    if isinstance(s, str):
-        rng = np.random.default_rng(11)
-        g = rng.uniform(0.0, 2.0, (12, 12)) * (rng.uniform(size=(12, 12)) < 0.5)
-        s = np.triu(g) + np.triu(g, 1).T + np.eye(12)
-    a = np.asarray(s, dtype=float)
-    for eta in (1e-2, 1e-6, 1e-10):
-        sol = solve_imaginary_axis(a, eta)
-        v, res, its = _reference_solve(a, eta, 1.0, 1e-12)
-        assert np.array_equal(sol.v, v) and sol.residual == res
-        assert sol.iterations == its
+def test_distinct_rows_solve_bit_identically(a, c, merged):
+    # every result equals the reference kernel's on the profile itself when
+    # no rows repeat, and on the merged matrix of a blow-up; a profile
+    # scaled by c is solved at points scaled by c**(1/2), where the
+    # unscaled one would be
+    a = np.asarray(a, dtype=float)
+    r, cls = merged if merged is not None else (a, np.arange(len(a)))
+    q = math.sqrt(c)
+    for eta in (1e-2 * q, 1e-6 * q, 1e-10 * q):
+        for method in ("hybrid", "damped") if eta == 1e-2 * q else ("hybrid",):
+            sol = solve_imaginary_axis(a, eta, method=method)
+            y, its = _reference_solve(r, eta, 1.0, 1e-12, newton=method == "hybrid")
+            assert np.array_equal(sol.v, y[cls])
+            assert sol.residual == _reference_residual(a, eta, 1.0, y[cls])
+            assert sol.iterations == its
     for z in (0.5 + 1e-3j, 1e-3j, 1.0 + 1e-6j):
+        z *= q
         sol = solve_upper_half_plane(a, z)
-        m, res, its = _reference_solve(a, z, -1.0, 1e-10)
-        assert np.array_equal(sol.m, m) and sol.residual == res
+        y, its = _reference_solve(r, z, -1.0, 1e-10)
+        assert np.array_equal(sol.m, y[cls])
+        assert sol.residual == _reference_residual(a, z, -1.0, y[cls])
         assert sol.iterations == its
-    taus = np.linspace(-2.5, 2.5, 51)
-    rho, m = [], None
+    taus = np.linspace(-2.5, 2.5, 51) * q
+    rho, y = [], None
     for tau in taus:
-        z = complex(tau, 1e-6)
+        z = complex(tau, 1e-6 * q)
         try:
-            m = _reference_solve(a, z, -1.0, 1e-10, start=m)[0]
+            y = _reference_solve(r, z, -1.0, 1e-10, start=y)[0]
         except NonConvergenceError:
-            m = _reference_solve(a, z, -1.0, 1e-10)[0]
-        rho.append(m.imag.mean() / math.pi)
-    assert np.array_equal(density_profile(a, taus, epsilon=1e-6).rho, rho)
+            y = _reference_solve(r, z, -1.0, 1e-10)[0]
+        rho.append(y[cls].imag.mean() / math.pi)
+    assert np.array_equal(density_profile(a, taus, epsilon=1e-6 * q).rho, rho)
 
 
 def test_merged_rows_accept_a_warm_start_that_varies_within_a_class():
