@@ -39,6 +39,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
+from numpy.linalg._umath_linalg import solve1 as _solve
 
 from .errors import (
     GridTooCoarseError,
@@ -262,8 +263,10 @@ def _positive_start(start, k: int) -> np.ndarray:
     v = np.asarray(start, dtype=float)
     if v.shape != (k,):
         raise ValueError(f"start vector must have shape ({k},)")
-    if not (v > 0).all():
-        raise NonPositiveInputError("start vector must be strictly positive")
+    if not ((v > 0) & np.isfinite(v)).all():
+        raise NonPositiveInputError(
+            "start vector must be finite and strictly positive"
+        )
     return v.copy()
 
 
@@ -288,18 +291,17 @@ class _Budget:
 # Both solvers drive x * (z + S x) = c to tolerance: on the imaginary axis
 # x = v > 0, z = eta and c = 1; in the upper half-plane x = m with Im m > 0
 # and c = -1.  On the axis the plane equation holds with z = i eta, m = i v.
-
-
-def _feasible(c: float, x: np.ndarray) -> bool:
-    """Whether x lies in the solution domain: v > 0 on the axis (c > 0),
-    Im m > 0 in the plane (c < 0)."""
-    return bool((x > 0).all()) if c > 0 else bool((x.imag > 0).all())
+#
+# Each public function that runs the kernel enters one errstate that
+# silences numpy's floating-point warnings, as np.linalg.solve does around
+# the gufunc: a non-finite value is caught by the kernel itself (a Newton
+# step must be finite, a residual must compare <= tol).
 
 
 def _residual(a, z, c: float, x: np.ndarray) -> tuple[float, np.ndarray]:
     """Max-norm of x * (z + S x) - c, and u = z + S x for the next step."""
     u = z + a @ x
-    return float(np.max(np.abs(x * u - c))), u
+    return float(np.abs(x * u - c).max()), u
 
 
 def _newton_step(a, z, c, x, u):
@@ -314,19 +316,19 @@ def _newton_step(a, z, c, x, u):
     pair-scaling direction and the residual rises sharply for one step
     before quadratic contraction sets in; a monotone line search would
     crawl.  Divergence is contained by the caller's watchdog.  Returns
-    (x, res, u) of the feasible trial, or None."""
+    (x, res, u) of the first trial in the solution domain (v > 0 on the
+    axis, Im m > 0 in the plane), or None, also when the Jacobian is
+    singular: the LAPACK gufunc behind ``np.linalg.solve`` then returns
+    NaN where the wrapper would raise (the caller silences the flag)."""
     xu = x * u
     jac = np.diag(xu) + (x[:, None] * a) * x[None, :]
-    try:
-        y = np.linalg.solve(jac, -(xu - c))
-    except np.linalg.LinAlgError:
-        return None
+    y = _solve(jac, -(xu - c))
     if not np.isfinite(y).all():
         return None
     t = 1.0
     for _ in range(60):
         trial = x * (1.0 + t * y)
-        if _feasible(c, trial):
+        if ((trial > 0) if c > 0 else (trial.imag > 0)).all():
             return (trial, *_residual(a, z, c, trial))
         t *= 0.5
     return None
@@ -366,7 +368,7 @@ def _stage(a, z, c, x, tol, budget: _Budget, newton: bool = True,
     theta = 1.0
     best_x, best_res, best_u = x, res, u
     stale = 0
-    while res > tol:
+    while not res <= tol:  # a NaN residual is no convergence
         if budget.exhausted:
             raise NonConvergenceError(
                 f"no convergence at {point}={z:g}: residual {res:.3e} > {tol:g} "
@@ -380,7 +382,7 @@ def _stage(a, z, c, x, tol, budget: _Budget, newton: bool = True,
             x, res, u, theta = _damped_step(a, z, c, x, u, res, theta)
             # feasible in exact arithmetic; only the plane solver reports an
             # Im m that rounding pushed onto zero (a Newton trial is checked)
-            if c < 0 and not _feasible(c, x):
+            if c < 0 and not (x.imag > 0).all():
                 raise ImaginarySignLostError(
                     f"iterate left the upper half-plane at z={z:g}"
                 )
@@ -413,6 +415,7 @@ def _continuation_path(target: float, top: float = 1.0) -> list[float]:
     return path
 
 
+@np.errstate(all="ignore")
 def solve_imaginary_axis(
     s,
     eta: float,
@@ -442,10 +445,13 @@ def solve_imaginary_axis(
         "hybrid" (default) accelerates the damped fixed point with
         backtracked Newton steps; "damped" uses pure damped sweeps
         ``v <- (1 - theta) v + theta / (eta + S v)`` with adaptive theta.
+        "damped" is a slow reference path: at ``eta <= 1e-6`` it can
+        exhaust the default ``max_iter`` (the arrow profile does at 1e-6
+        and 1e-10) and raise NonConvergenceError.
     start : array, optional
-        Positive warm start; when given, continuation is skipped and the
-        equation is solved directly at ``eta``.  It is averaged over each
-        set of indices with identical rows.
+        Finite positive warm start; when given, continuation is skipped
+        and the equation is solved directly at ``eta``.  It is averaged
+        over each set of indices with identical rows.
 
     Raises
     ------
@@ -505,6 +511,7 @@ def _assert_axis_bounds(row_max, eta, v, tol):
         )
 
 
+@np.errstate(all="ignore")
 def solve_upper_half_plane(
     s,
     z: complex,
@@ -533,8 +540,10 @@ def solve_upper_half_plane(
         m = np.asarray(start, dtype=complex)
         if m.shape != (a.shape[0],):
             raise ValueError(f"start vector must have shape ({a.shape[0]},)")
-        if not (m.imag > 0).all():
-            raise ImaginarySignLostError("start vector must have Im m > 0")
+        if not (np.isfinite(m).all() and (m.imag > 0).all()):
+            raise ImaginarySignLostError(
+                "start vector must be finite with Im m > 0"
+            )
         y = _class_mean(m, cls, r.shape[0])
     y, iterations = _plane(r, z, tol, y, max_iter)
     m = y[cls]
@@ -550,9 +559,8 @@ def _plane_point(z) -> complex:
     return z
 
 
-def _plane(r, z, tol, y=None, max_iter=100_000, give_up=False):
-    """Plane solve on the merged profile ``r``; see :func:`_axis`.
-    ``give_up`` is passed to :func:`_stage`."""
+def _plane(r, z, tol, y=None, max_iter=100_000):
+    """Plane solve on the merged profile ``r``; see :func:`_axis`."""
     budget = _Budget(max_iter)
     if y is None:
         ims = _continuation_path(z.imag)
@@ -564,13 +572,14 @@ def _plane(r, z, tol, y=None, max_iter=100_000, give_up=False):
         path = [z]
     for stage_z in path:
         stage_tol = tol if stage_z == z else max(tol, 1e-9)
-        y = _stage(r, stage_z, -1.0, y, stage_tol, budget, give_up=give_up)
+        y = _stage(r, stage_z, -1.0, y, stage_tol, budget)
     return y, budget.used
 
 
 # --- density of states -----------------------------------------------------------
 
 
+@np.errstate(all="ignore")
 def density_profile(
     s,
     tau_grid,
@@ -595,16 +604,19 @@ def density_profile(
     if taus.ndim != 1 or taus.size == 0:
         raise ValueError("tau_grid must be a non-empty 1-D array")
     rho = np.empty_like(taus)
+    k, merged = cls.size, r.shape[0] < cls.size
     y = None
     for j, tau in enumerate(taus):
         z = _plane_point(complex(tau, epsilon))
-        try:
-            y, _ = _plane(r, z, tol, y, max_iter, give_up=y is not None)
-        except NonConvergenceError:
-            if y is None:
-                raise
+        if y is not None:
+            try:
+                y = _stage(r, z, -1.0, y, tol, _Budget(max_iter), give_up=True)
+            except NonConvergenceError:
+                y = None
+        if y is None:
             y, _ = _plane(r, z, tol, None, max_iter)
-        rho[j] = float(y[cls].imag.mean() / math.pi)
+        # sum / k is np.mean's arithmetic
+        rho[j] = float((y[cls] if merged else y).imag.sum() / k / math.pi)
     taus = taus.copy()
     taus.flags.writeable = False
     rho.flags.writeable = False
@@ -655,6 +667,7 @@ def _geometric_grid(eta_max: float, eta_min: float, points_per_decade: int):
     return np.geomspace(eta_max, eta_min, n)
 
 
+@np.errstate(all="ignore")
 def empirical_exponents(
     s,
     *,
@@ -782,6 +795,7 @@ def rescaled_profile(s) -> RescaledData:
     )
 
 
+@np.errstate(all="ignore")
 def limit_weights(
     s,
     *,
@@ -875,6 +889,7 @@ def rescaled_residuals(data: RescaledData) -> RescaledResiduals:
 # --- atom at zero -----------------------------------------------------------------
 
 
+@np.errstate(all="ignore")
 def atom_mass_estimate(
     s,
     *,

@@ -476,6 +476,12 @@ def index_exponents(rel: BlockRelation) -> IndexExponents:
     checks: every exponent lies strictly between -1 and 1, paired blocks
     have opposite exponents, and the maximum equals l/(l+2) where l is the
     longest chain of the relation. Q is the least common denominator."""
+    return _index_exponents(rel, longest_chain(rel))
+
+
+def _index_exponents(rel: BlockRelation, chain: ChainResult) -> IndexExponents:
+    """:func:`index_exponents` checked against the relation's longest
+    ``chain``, computed once by the caller."""
     sol = solve_min_max(relation_problem(rel))
     f = tuple(sol.values[i] for i in range(rel.n))
     sigma = max(f)
@@ -484,7 +490,7 @@ def index_exponents(rel: BlockRelation) -> IndexExponents:
             raise SelfCheckError(f"exponent f[{i}] = {fi} out of (-1, 1)")
         if fi != -f[rel.partner[i]]:
             raise SelfCheckError("exponents are not antisymmetric under pairing")
-    ell = longest_chain(rel).length
+    ell = chain.length
     if sigma != Fraction(ell, ell + 2):
         raise SelfCheckError(
             f"sigma = {sigma} does not match chain length {ell}"
@@ -533,4 +539,5 @@ def analyze(s) -> Analysis:
         return Analysis(profile, "NoSupport")
     rel = build_relation(nf)
     support = "SupportOnly" if rel.edges else "TotalSupport"
-    return Analysis(profile, support, nf, rel, longest_chain(rel), index_exponents(rel))
+    chain = longest_chain(rel)
+    return Analysis(profile, support, nf, rel, chain, _index_exponents(rel, chain))

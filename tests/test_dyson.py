@@ -1,6 +1,7 @@
 """Tests for the self-consistent solvers and the rescaled zero-energy data."""
 
 import math
+import warnings
 from fractions import Fraction as F
 
 import numpy as np
@@ -26,6 +27,7 @@ from specdens.errors import (
     ImaginarySignLostError,
     NonConvergenceError,
     NonPositiveInputError,
+    SpecdensError,
     ZeroRowError,
 )
 from specdens.minmax import analyze
@@ -114,6 +116,56 @@ def test_axis_rejects_bad_input():
         solve_imaginary_axis(ONES1, 1.0, method="secret")
     with pytest.raises(NonPositiveInputError):
         solve_imaginary_axis(ONES1, 1.0, start=np.array([-1.0]))
+
+
+@pytest.mark.parametrize(
+    "solve",
+    [
+        lambda: solve_upper_half_plane(ARROW, 0.3 + 1e-3j, start=[1e308j, 1e308j]),
+        lambda: solve_upper_half_plane(
+            ARROW, 0.3 + 1e-3j, start=[math.inf * 1j, 1j]
+        ),
+        lambda: solve_imaginary_axis(ARROW, 1e-3, start=[math.inf, 1.0]),
+    ],
+    ids=["plane_1e308", "plane_inf", "axis_inf"],
+)
+def test_a_non_finite_residual_is_no_convergence(solve):
+    # a start whose residual is NaN must neither pass as converged nor
+    # run out the iteration budget
+    with pytest.raises(SpecdensError):
+        solve()
+
+
+def test_singular_jacobian_is_no_newton_step(monkeypatch):
+    # x = (1, -1) makes diag(x*u) + diag(x) S diag(x) exactly singular:
+    # where np.linalg.solve raises, the step declines, without a warning
+    # under the errstate every solve enters, and leaves numpy's state as
+    # it found it
+    a, x = np.ones((2, 2)), np.array([1.0, -1.0])
+    u = a @ x
+    jac = np.diag(x * u) + (x[:, None] * a) * x[None, :]
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(jac, -(x * u - 1.0))
+    seen = []
+    step = dyson._newton_step
+
+    def spy(*args):
+        seen.append(np.geterr())
+        if len(seen) == 1:
+            assert step(a, 0.0, 1.0, x, u) is None
+        return step(*args)
+
+    monkeypatch.setattr(dyson, "_newton_step", spy)
+    before = np.geterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        solve_imaginary_axis(ARROW, 1e-3)
+        assert np.geterr() == before
+        with pytest.raises(NonConvergenceError):
+            solve_upper_half_plane(ARROW, 0.3 + 1e-3j, max_iter=3)
+        assert np.geterr() == before
+    quiet = dict.fromkeys(("divide", "over", "under", "invalid"), "ignore")
+    assert seen and all(state == quiet for state in seen)
 
 
 def test_axis_nonconvergence_reports_residual():
@@ -347,20 +399,48 @@ def _merged_blowup(s, b, seed):
     return big, 1.0, (merged, np.array([rank[k] for k in block]))
 
 
-@pytest.mark.parametrize(
-    "a, c, merged",
-    [
-        (ARROW, 1.0, None),
-        (CHAIN3, 1.0, None),
-        (BIG_EXAMPLE, 1.0, None),
-        (_random_profile(11), 1.0, None),
-        (_rescaled(BIG_EXAMPLE, 10**2.5, seed=1), 10**2.5, None),
-        (_rescaled(BIG_EXAMPLE, 10**-2.5, seed=2), 10**-2.5, None),
-        _merged_blowup(BIG_EXAMPLE, 3, seed=3),
-    ],
-    ids=["arrow", "chain3", "big", "random", "big_c1e+2.5", "big_c1e-2.5",
-         "big_blowup3"],
-)
+def _reference_density(r, cls, taus, epsilon):
+    """The density curve with the reference kernel: each point warm-started
+    from its predecessor, cold when that stalls."""
+    rho, y = [], None
+    for tau in taus:
+        z = complex(tau, epsilon)
+        try:
+            y = _reference_solve(r, z, -1.0, 1e-10, start=y)[0]
+        except NonConvergenceError:
+            y = _reference_solve(r, z, -1.0, 1e-10)[0]
+        rho.append(y[cls].imag.mean() / math.pi)
+    return rho
+
+
+def _reference_axis_sweep(r, etas, tol):
+    """The solution at each of the descending ``etas`` with the reference
+    kernel, warm-started from the previous point as the axis sweeps do:
+    one stage that does not give up."""
+    ys, y = [], None
+    for eta in etas:
+        if y is None:
+            y = _reference_solve(r, eta, 1.0, tol)[0]
+        else:
+            y = _reference_stage(r, eta, 1.0, y, tol, dyson._Budget(100_000))[0]
+        ys.append(y)
+    return ys
+
+
+_KERNEL_CASES = [
+    (ARROW, 1.0, None),
+    (CHAIN3, 1.0, None),
+    (BIG_EXAMPLE, 1.0, None),
+    (_random_profile(11), 1.0, None),
+    (_rescaled(BIG_EXAMPLE, 10**2.5, seed=1), 10**2.5, None),
+    (_rescaled(BIG_EXAMPLE, 10**-2.5, seed=2), 10**-2.5, None),
+    _merged_blowup(BIG_EXAMPLE, 3, seed=3),
+]
+_KERNEL_IDS = ["arrow", "chain3", "big", "random", "big_c1e+2.5", "big_c1e-2.5",
+               "big_blowup3"]
+
+
+@pytest.mark.parametrize("a, c, merged", _KERNEL_CASES, ids=_KERNEL_IDS)
 def test_distinct_rows_solve_bit_identically(a, c, merged):
     # every result equals the reference kernel's on the profile itself when
     # no rows repeat, and on the merged matrix of a blow-up; a profile
@@ -384,15 +464,61 @@ def test_distinct_rows_solve_bit_identically(a, c, merged):
         assert sol.residual == _reference_residual(a, z, -1.0, y[cls])
         assert sol.iterations == its
     taus = np.linspace(-2.5, 2.5, 51) * q
-    rho, y = [], None
-    for tau in taus:
-        z = complex(tau, 1e-6 * q)
-        try:
-            y = _reference_solve(r, z, -1.0, 1e-10, start=y)[0]
-        except NonConvergenceError:
-            y = _reference_solve(r, z, -1.0, 1e-10)[0]
-        rho.append(y[cls].imag.mean() / math.pi)
+    rho = _reference_density(r, cls, taus, 1e-6 * q)
     assert np.array_equal(density_profile(a, taus, epsilon=1e-6 * q).rho, rho)
+
+
+@pytest.mark.parametrize("a, c, merged", _KERNEL_CASES, ids=_KERNEL_IDS)
+def test_axis_sweeps_solve_bit_identically(a, c, merged):
+    # the warm-started axis loops of the exponent fit and of the limit
+    # weights reproduce the reference kernel bit for bit
+    a = np.asarray(a, dtype=float)
+    r, cls = merged if merged is not None else (a, np.arange(len(a)))
+    q = math.sqrt(c)
+    fit = empirical_exponents(a, eta_min=1e-10 * q, eta_max=1e-2 * q)
+    ys = _reference_axis_sweep(r, fit.eta.tolist(), 1e-12)
+    nf = fit.nf
+    for b in range(nf.n_blocks):
+        block = cls[[nf.perm[i] for i in nf.block_indices(b)]]
+        assert np.array_equal(fit.block_averages[:, b], [y[block].mean() for y in ys])
+    e1, e2 = 2e-12 * q, 1e-12 * q
+    data = limit_weights(a, eta_pair=(e1, e2))
+    y1, y2 = _reference_axis_sweep(r, (e1, e2), 1e-13)
+    f = np.repeat([float(f) for f in data.exponents.f], data.nf.dims)
+    perm_cls = cls[list(data.nf.perm)]
+    x1, x2 = y1[perm_cls] * e1**f, y2[perm_cls] * e2**f
+    w1, w2 = e1 ** (1.0 / data.exponents.Q), e2 ** (1.0 / data.exponents.Q)
+    assert np.array_equal(data.w, x2 - w2 * (x1 - x2) / (w1 - w2))
+
+
+# No support and no repeated rows (rows 0 and 1 of NOSUPPORT3 are equal).
+_NOSUPPORT_DISTINCT = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 2.0], [1.0, 2.0, 1.0]])
+
+
+@pytest.mark.parametrize(
+    "a, c, merged",
+    [
+        (_NOSUPPORT_DISTINCT, 1.0, None),
+        (_rescaled(_NOSUPPORT_DISTINCT, 10**2.5, seed=4), 10**2.5, None),
+        _merged_blowup(_NOSUPPORT_DISTINCT, 4, seed=5),
+    ],
+    ids=["nosupport3", "nosupport3_c1e+2.5", "nosupport3_blowup4"],
+)
+def test_atom_sweep_solves_bit_identically(a, c, merged):
+    a = np.asarray(a, dtype=float)
+    r, cls = merged if merged is not None else (a, np.arange(len(a)))
+    etas = [e * math.sqrt(c) for e in (1e-4, 1e-6, 1e-8)]
+    ys = _reference_axis_sweep(r, etas, 1e-12)
+    estimates = tuple(eta * float(y[cls].mean()) for eta, y in zip(etas, ys))
+    assert atom_mass_estimate(a, eta_grid=etas).estimates == estimates
+
+
+def test_blowup_density_solves_bit_identically():
+    # 201 points on a profile of dimension 200 with ten distinct rows
+    big, _, (r, cls) = _merged_blowup(BIG_EXAMPLE, 20, seed=6)
+    taus = np.linspace(-2.5, 2.5, 201)
+    rho = _reference_density(r, cls, taus, 1e-6)
+    assert np.array_equal(density_profile(big, taus, epsilon=1e-6).rho, rho)
 
 
 def test_merged_rows_accept_a_warm_start_that_varies_within_a_class():

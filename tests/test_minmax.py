@@ -7,6 +7,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+import specdens.minmax
 import specdens.patterns
 from specdens.errors import (
     BadBoundaryError,
@@ -316,3 +317,23 @@ def test_analyze_matching_calls(monkeypatch, entries, support_class, calls):
             monkeypatch.setattr(module, "augmenting_matching", counted)
     assert analyze(np.array(entries, dtype=float)).support_class == support_class
     assert count[0] == calls
+
+
+@pytest.mark.parametrize(
+    "entries", [[[1, 1], [1, 0]], BIG_EXAMPLE], ids=["arrow", "reference"]
+)
+def test_analyze_finds_the_longest_chain_once(monkeypatch, entries):
+    # the exponents' sigma = l/(l+2) self-check reads the chain that analyze
+    # keeps; the public index_exponents still finds its own
+    original = specdens.minmax.longest_chain
+    count = [0]
+
+    def counted(rel):
+        count[0] += 1
+        return original(rel)
+
+    monkeypatch.setattr(specdens.minmax, "longest_chain", counted)
+    an = analyze(np.array(entries, dtype=float))
+    assert count[0] == 1
+    assert index_exponents(an.relation) == an.exponents
+    assert count[0] == 2
