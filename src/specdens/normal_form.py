@@ -38,8 +38,8 @@ from .errors import (
 )
 from .patterns import (
     ZeroPattern,
+    _fine_classes,
     augmenting_matching,
-    fid_skeleton,
     is_fully_indecomposable,
     max_bipartite_matching,
     maximal_zero_submatrix,
@@ -201,78 +201,29 @@ class ChainResult:
 # --- symmetric normal form ------------------------------------------------------
 
 
-def _undirected_components(adj) -> list[list[int]]:
-    """Connected components (sorted, in order of smallest member) of the
-    undirected graph with an edge i-j iff i != j and j is in adj[i]."""
-    k = len(adj)
-    seen = [False] * k
-    comps = []
-    for start in range(k):
-        if seen[start]:
-            continue
-        seen[start] = True
-        comp = [start]
-        queue = [start]
-        while queue:
-            i = queue.pop()
-            for j in adj[i]:
-                if not seen[j]:
-                    seen[j] = True
-                    comp.append(j)
-                    queue.append(j)
-        comps.append(sorted(comp))
-    return comps
-
-
-def _sub_pattern(comp: list[int], adj) -> ZeroPattern:
-    """Pattern of the principal submatrix on a connected component."""
-    at = {v: t for t, v in enumerate(comp)}
-    rows = []
-    for i in comp:
-        row = [False] * len(comp)
-        for j in adj[i]:
-            row[at[j]] = True
-        rows.append(tuple(row))
-    return ZeroPattern(len(comp), tuple(rows))
-
-
-def _two_color(comp: list[int], adj) -> tuple[list[int], list[int]]:
-    """Split a connected non-FID skeleton component into its two sides.
-
-    ``adj`` holds the (symmetric) skeleton's row adjacency lists.  Every
-    skeleton entry inside the component must join opposite sides (in
-    particular no diagonal skeleton entry may occur); the side of the
-    smallest index comes first. StructureViolationError otherwise.
-    """
-    color: dict[int, int] = {comp[0]: 0}
-    queue = [comp[0]]
-    while queue:
-        i = queue.pop()
-        for j in adj[i]:
-            if j not in color:
-                color[j] = 1 - color[i]
-                queue.append(j)
-    if any(color[i] == color[j] for i in comp for j in adj[i]):
-        raise StructureViolationError(
-            "skeleton component is neither fully indecomposable nor two-sided"
-        )
-    side0 = [i for i in comp if color[i] == 0]
-    side1 = [i for i in comp if color[i] == 1]
-    if len(side0) != len(side1):
-        raise StructureViolationError("two-sided component has unequal sides")
-    return side0, side1
+def _block_mask(present: np.ndarray, dims) -> np.ndarray:
+    """mask[i, j] is True iff block (i, j) of the boolean matrix holds a True
+    entry; ``dims`` are the block dimensions, each at least 1."""
+    starts = np.cumsum((0, *dims))[:-1]
+    return np.logical_or.reduceat(
+        np.logical_or.reduceat(present, starts, axis=0), starts, axis=1
+    )
 
 
 def symmetric_normal_form(s) -> NormalForm:
     """Compute the symmetric block normal form of a supported profile.
 
-    Steps: (1) keep only entries lying on positive diagonals (the skeleton);
-    (2) split its connected components into fully indecomposable principal
-    blocks and two-sided pairs; (3) repeatedly extract a side whose coupling
-    row (in the full profile) touches nothing but its own partner, sending
-    it to the outermost free slot of the last band and its partner to the
-    matching slot of the first band; leftover principal blocks form the
-    middle band, sorted by (dimension, smallest index).
+    Steps: (1) one matching sigma and one strongly-connected-components
+    pass give the fine classes of the zero pattern: each class C is the row
+    set of a fully indecomposable block (C, sigma(C)) of the skeleton, the
+    entries lying on positive diagonals; (2) every class is a side, and as
+    the skeleton is symmetric sigma(C) is either C (a fully indecomposable
+    principal block) or the class of its partner side; (3) repeatedly
+    extract a side whose coupling row (in the full profile) touches nothing
+    but its own partner, sending it to the outermost free slot of the last
+    band and its partner to the matching slot of the first band; leftover
+    principal blocks form the middle band, sorted by (dimension, smallest
+    index).
 
     Raises NotSymmetricError / NegativeEntryError on invalid input,
     NoSupportError when no positive diagonal exists, and
@@ -280,24 +231,25 @@ def symmetric_normal_form(s) -> NormalForm:
     (not reachable for valid symmetric profiles).
     """
     profile = as_profile(s)
-    pat = pattern_of(profile)
-    skel = fid_skeleton(pat).skeleton  # NoSupportError when there is no support
-    adj = [skel.row_indices(i) for i in range(skel.k)]
+    # NoSupportError when there is no support
+    col_match, comp = _fine_classes(pattern_of(profile))
     present = profile.entries != 0
 
-    # sides: (indices, partner_side_id); middles partner themselves
-    side_indices: list[list[int]] = []
-    side_partner: list[int] = []
-    for comp in _undirected_components(adj):
-        if is_fully_indecomposable(_sub_pattern(comp, adj)):
-            side_indices.append(comp)
-            side_partner.append(len(side_partner))
-        else:
-            side0, side1 = _two_color(comp, adj)
-            a = len(side_indices)
-            side_indices.append(side0)
-            side_indices.append(side1)
-            side_partner.extend([a + 1, a])
+    # rows[c]: the class c; cols[c]: its columns sigma(c), the row set of
+    # its partner (c itself for a middle)
+    rows: dict[int, list[int]] = {}
+    cols: dict[int, list[int]] = {}
+    for i in range(profile.k):
+        rows.setdefault(comp[i], []).append(i)
+        cols.setdefault(comp[col_match[i]], []).append(i)
+    side_indices = list(rows.values())
+    side_of = {tuple(side): sid for sid, side in enumerate(side_indices)}
+    try:
+        side_partner = [side_of[tuple(cols[c])] for c in rows]
+    except KeyError:
+        raise StructureViolationError(
+            "a skeleton block's transpose is not a skeleton block"
+        ) from None
 
     def coupled(a: int, b: int) -> bool:
         return bool(present[np.ix_(side_indices[a], side_indices[b])].any())
@@ -341,15 +293,7 @@ def symmetric_normal_form(s) -> NormalForm:
     perm = tuple(i for block in block_sets for i in block)
     dims = tuple(len(block) for block in block_sets)
     permuted = profile.entries[np.ix_(perm, perm)]
-    n = l_mid + 2 * m_pairs
-    mask = np.zeros((n, n), dtype=bool)
-    offs = np.cumsum((0,) + dims)
-    for i in range(n):
-        for j in range(n):
-            mask[i, j] = bool(
-                permuted[offs[i]:offs[i + 1], offs[j]:offs[j + 1]].any()
-            )
-
+    mask = _block_mask(permuted != 0, dims)
     nf = NormalForm(perm, dims, l_mid, m_pairs, mask, permuted)
     verify_normal_form(profile, nf)
     return nf
@@ -367,17 +311,12 @@ def verify_normal_form(s, nf: NormalForm) -> None:
 
     if sorted(nf.perm) != list(range(k)):
         fail("perm is not a permutation")
-    if sum(nf.dims) != k or len(nf.dims) != n:
+    if sum(nf.dims) != k or len(nf.dims) != n or any(d < 1 for d in nf.dims):
         fail("block dimensions do not tile the matrix")
     if not np.array_equal(nf.permuted_profile, profile.entries[np.ix_(nf.perm, nf.perm)]):
         fail("permuted profile does not match the permutation")
 
-    offs = np.cumsum((0,) + nf.dims)
-    present = nf.permuted_profile != 0
-    mask = np.zeros((n, n), dtype=bool)
-    for i in range(n):
-        for j in range(n):
-            mask[i, j] = bool(present[offs[i]:offs[i + 1], offs[j]:offs[j + 1]].any())
+    mask = _block_mask(nf.permuted_profile != 0, nf.dims)
     if not np.array_equal(mask, nf.mask):
         fail("mask does not match the permuted profile")
     if not np.array_equal(mask, mask.T):

@@ -10,6 +10,11 @@ diagonal*, i.e. a permutation sigma with every entry (i, sigma(i)) present:
   (equivalently: a positive diagonal exists and the column-permuted pattern
   is irreducible).
 
+One maximum matching and one strongly-connected-components pass give the
+fine decomposition of a supported pattern (Dulmage-Mendelsohn): its classes
+are the row sets of the fully indecomposable blocks of the skeleton, and
+the skeleton, total support and full indecomposability are all read off it.
+
 For patterns without support, the maximal all-zero submatrix (by perimeter
 ``|I| + |J|``) is produced with a Koenig-style witness; its normalized excess
 ``(|I| + |J| - K) / K`` is the mass of the point mass at zero in the
@@ -304,69 +309,70 @@ def _strongly_connected_components(adj: list[list[int]]) -> list[int]:
     return comp
 
 
-def _diagonalized_digraph(p: ZeroPattern, row_match: Sequence[int]) -> list[list[int]]:
-    """Digraph of the column permutation that puts the matching on the
-    diagonal: vertex c stands for (row c, column row_match[c]); there is an
-    edge i -> c iff entry (i, row_match[c]) is present (self-loops omitted)."""
-    col_to_c = _inverse(row_match)
-    return [
-        [c for c in map(col_to_c.__getitem__, cols) if c != i]
+def _fine_classes(
+    p: ZeroPattern, col_match: Optional[Sequence[Optional[int]]] = None
+) -> tuple[Sequence[int], list[int]]:
+    """Fine decomposition of a supported pattern (Dulmage-Mendelsohn).
+
+    Returns a perfect matching sigma, as the row ``col_match[j]`` matched to
+    each column j, and the strongly connected component id of every row in
+    the digraph that puts the matching on the diagonal: an edge
+    i -> col_match[j] for every present (i, j), self-loops omitted.  The
+    rows of one id form a class C, and (C, sigma(C)) is one fully
+    indecomposable block of the skeleton.  ``col_match``, when given, is a
+    maximum matching the caller already holds.  Raises NoSupportError when
+    no positive diagonal exists."""
+    if col_match is None:
+        col_match = augmenting_matching(p._adjacency, p.k)
+    if None in col_match:
+        raise NoSupportError("pattern has no positive diagonal")
+    digraph = [
+        [c for c in map(col_match.__getitem__, cols) if c != i]
         for i, cols in enumerate(p._adjacency)
     ]
+    return col_match, _strongly_connected_components(digraph)
 
 
-def _inverse(row_match: Sequence[int]) -> list[int]:
-    """Row matched to each column of a perfect matching."""
-    inv = [0] * len(row_match)
-    for i, j in enumerate(row_match):
-        inv[j] = i
-    return inv
+def _on_diagonal(
+    p: ZeroPattern, col_match: Optional[Sequence[Optional[int]]] = None
+) -> tuple[tuple[bool, ...], ...]:
+    """The ``on_diagonal`` flags of :func:`fid_skeleton`, from the matching
+    ``col_match`` when one is given.  Raises NoSupportError."""
+    col_match, comp = _fine_classes(p, col_match)
+    on_diag = []
+    for i, cols in enumerate(p._adjacency):
+        row = [False] * p.k
+        for j in cols:
+            row[j] = comp[i] == comp[col_match[j]]
+        on_diag.append(tuple(row))
+    return tuple(on_diag)
 
 
 def is_fully_indecomposable(p: ZeroPattern) -> bool:
-    """True iff the pattern has no p x q all-zero submatrix with p + q = K.
-
-    Test: a positive diagonal must exist, and the digraph obtained by
-    permuting that diagonal into place must be strongly connected. The
-    outcome does not depend on which positive diagonal is used."""
-    m = max_bipartite_matching(p)
-    if not m.perfect:
+    """True iff the pattern has no p x q all-zero submatrix with p + q = K,
+    i.e. iff it has a positive diagonal and a single fine class."""
+    try:
+        return max(_fine_classes(p)[1]) == 0
+    except NoSupportError:
         return False
-    if p.k == 1:
-        return True
-    comp = _strongly_connected_components(_diagonalized_digraph(p, m.row_match))
-    return all(c == comp[0] for c in comp)
 
 
 def fid_skeleton(p: ZeroPattern) -> SkeletonResult:
     """Entries lying on at least one positive diagonal.
 
-    Raises NoSupportError when no positive diagonal exists. With a matching
-    sigma fixed, entry (i, sigma(c)) lies on a positive diagonal iff i == c
-    or i and c belong to the same strongly connected component of the
-    diagonalized digraph; the resulting set is matching-independent."""
-    m = max_bipartite_matching(p)
-    if not m.perfect:
-        raise NoSupportError("pattern has no positive diagonal")
-    k = p.k
-    comp = _strongly_connected_components(_diagonalized_digraph(p, m.row_match))
-    col_to_c = _inverse(m.row_match)
-    on_diag = []
-    for i, cols in enumerate(p._adjacency):
-        row = [False] * k
-        for j in cols:
-            c = col_to_c[j]
-            row[j] = i == c or comp[i] == comp[c]
-        on_diag.append(tuple(row))
-    on_diag = tuple(on_diag)
-    return SkeletonResult(on_diag, ZeroPattern(k, on_diag))
+    Raises NoSupportError when no positive diagonal exists. With a perfect
+    matching fixed, entry (i, j) lies on a positive diagonal iff row i and
+    the row matched to column j belong to the same fine class; the
+    resulting set is matching-independent."""
+    on_diag = _on_diagonal(p)
+    return SkeletonResult(on_diag, ZeroPattern(p.k, on_diag))
 
 
 def has_total_support(p: ZeroPattern) -> bool:
     """True iff every present entry lies on some positive diagonal (and at
     least one exists)."""
     try:
-        return fid_skeleton(p).on_diagonal == p.present
+        return _on_diagonal(p) == p.present
     except NoSupportError:
         return False
 
@@ -387,7 +393,7 @@ def maximal_zero_submatrix(p: ZeroPattern) -> SupportClass:
     col_match = augmenting_matching(adj, k)
     size = k - col_match.count(None)
     if size == k:
-        tag = "TotalSupport" if fid_skeleton(p).on_diagonal == p.present else "SupportOnly"
+        tag = "TotalSupport" if _on_diagonal(p, col_match) == p.present else "SupportOnly"
         return SupportClass(tag)
 
     matched = set(col_match)

@@ -25,7 +25,8 @@ from specdens.minmax import (
     stability_check,
     verify_solution,
 )
-from specdens.normal_form import build_relation, symmetric_normal_form
+from specdens.normal_form import build_relation, pattern_of, symmetric_normal_form
+from specdens.patterns import maximal_zero_submatrix
 
 from test_normal_form import BIG_EXAMPLE, branchy_mask_form
 
@@ -293,17 +294,28 @@ def test_random_problems_solve_verify_and_match_oracle():
                 assert abs(orc.values[v] - float(sol.values[v])) < 1e-9
 
 
+def _max_zero_tag(s):
+    return maximal_zero_submatrix(pattern_of(s)).tag
+
+
+def _analyze_tag(s):
+    return analyze(s).support_class
+
+
 @pytest.mark.parametrize(
-    "entries, support_class, calls",
+    "classify, entries, support_class, calls",
     [
-        ([[1, 1], [1, 0]], "SupportOnly", 4),
-        (BIG_EXAMPLE, "SupportOnly", 12),
-        ([[0, 0, 1], [0, 0, 1], [1, 1, 1]], "NoSupport", 1),
+        (_analyze_tag, [[1, 1], [1, 0]], "SupportOnly", 3),
+        (_analyze_tag, BIG_EXAMPLE, "SupportOnly", 8),
+        (_analyze_tag, [[0, 0, 1], [0, 0, 1], [1, 1, 1]], "NoSupport", 1),
+        (_max_zero_tag, [[1, 1], [1, 0]], "SupportOnly", 1),
     ],
-    ids=["arrow", "reference", "no_support"],
+    ids=["arrow", "reference", "no_support", "max_zero_arrow"],
 )
-def test_analyze_matching_calls(monkeypatch, entries, support_class, calls):
-    # one support test per analysis: the skeleton's matching decides it
+def test_analyze_matching_calls(monkeypatch, classify, entries, support_class,
+                                calls):
+    # one matching gives the support test, the skeleton and the sides; the
+    # audit matches each anti-diagonal block once more, independently
     original = specdens.patterns.augmenting_matching
     count = [0]
 
@@ -315,7 +327,7 @@ def test_analyze_matching_calls(monkeypatch, entries, support_class, calls):
         if (getattr(module, "__name__", "").startswith("specdens")
                 and getattr(module, "augmenting_matching", None) is original):
             monkeypatch.setattr(module, "augmenting_matching", counted)
-    assert analyze(np.array(entries, dtype=float)).support_class == support_class
+    assert classify(np.array(entries, dtype=float)) == support_class
     assert count[0] == calls
 
 

@@ -29,7 +29,13 @@ from specdens.normal_form import (
     symmetric_normal_form,
     verify_normal_form,
 )
-from specdens.patterns import ZeroPattern, has_support, maximal_zero_submatrix
+from specdens.patterns import (
+    ZeroPattern,
+    fid_skeleton,
+    has_support,
+    is_fully_indecomposable,
+    maximal_zero_submatrix,
+)
 
 # 10 x 10 reference profile with three pairs, one middle block and a
 # longest chain of four edges.
@@ -187,12 +193,168 @@ def test_normal_form_random_profiles_pass_audit():
 
 
 def test_verify_normal_form_catches_tampering():
-    nf = symmetric_normal_form([[1, 1, 1], [1, 1, 0], [1, 0, 0]])
+    s = [[1, 1, 1], [1, 1, 0], [1, 0, 0]]
+    nf = symmetric_normal_form(s)
     bad_mask = nf.mask.copy()
     bad_mask[2, 2] = True
     bad = NormalForm(nf.perm, nf.dims, nf.L, nf.M, bad_mask, nf.permuted_profile)
     with pytest.raises(StructureViolationError):
-        verify_normal_form([[1, 1, 1], [1, 1, 0], [1, 0, 0]], bad)
+        verify_normal_form(s, bad)
+    # empty or negative blocks, also when the dimensions sum to K
+    for dims in [(2, 0, 0), (2, 1, -1), (3, 0, 0), (2, 2, -1)]:
+        bad = NormalForm(nf.perm, dims, nf.L, nf.M, nf.mask, nf.permuted_profile)
+        with pytest.raises(StructureViolationError, match="tile"):
+            verify_normal_form(s, bad)
+
+
+# --- the sides against their predecessor ----------------------------------------------
+
+
+def _reference_components(adj):
+    k = len(adj)
+    seen = [False] * k
+    comps = []
+    for start in range(k):
+        if seen[start]:
+            continue
+        seen[start] = True
+        comp = [start]
+        queue = [start]
+        while queue:
+            i = queue.pop()
+            for j in adj[i]:
+                if not seen[j]:
+                    seen[j] = True
+                    comp.append(j)
+                    queue.append(j)
+        comps.append(sorted(comp))
+    return comps
+
+
+def _reference_sub_pattern(comp, adj):
+    at = {v: t for t, v in enumerate(comp)}
+    rows = []
+    for i in comp:
+        row = [False] * len(comp)
+        for j in adj[i]:
+            row[at[j]] = True
+        rows.append(tuple(row))
+    return ZeroPattern(len(comp), tuple(rows))
+
+
+def _reference_two_color(comp, adj):
+    color = {comp[0]: 0}
+    queue = [comp[0]]
+    while queue:
+        i = queue.pop()
+        for j in adj[i]:
+            if j not in color:
+                color[j] = 1 - color[i]
+                queue.append(j)
+    if any(color[i] == color[j] for i in comp for j in adj[i]):
+        raise StructureViolationError("neither fully indecomposable nor two-sided")
+    side0 = [i for i in comp if color[i] == 0]
+    side1 = [i for i in comp if color[i] == 1]
+    if len(side0) != len(side1):
+        raise StructureViolationError("two-sided component has unequal sides")
+    return side0, side1
+
+
+def _reference_normal_form(s):
+    """(perm, dims, L, M, mask) of the normal form with its sides built the
+    earlier way: the undirected components of the skeleton, a fresh full
+    indecomposability test of each, and a two-colouring of every component
+    that fails it."""
+    entries = VarianceProfile(s).entries
+    skel = fid_skeleton(pattern_of(entries)).skeleton
+    adj = [skel.row_indices(i) for i in range(skel.k)]
+    present = entries != 0
+    side_indices, side_partner = [], []
+    for comp in _reference_components(adj):
+        if is_fully_indecomposable(_reference_sub_pattern(comp, adj)):
+            side_indices.append(comp)
+            side_partner.append(len(side_partner))
+        else:
+            side0, side1 = _reference_two_color(comp, adj)
+            a = len(side_indices)
+            side_indices += [side0, side1]
+            side_partner += [a + 1, a]
+
+    def coupled(a, b):
+        return bool(present[np.ix_(side_indices[a], side_indices[b])].any())
+
+    remaining = set(range(len(side_indices)))
+    pivot_pairs, middles = [], []
+    while remaining:
+        candidates = [
+            sid for sid in remaining
+            if all(not coupled(sid, other) for other in remaining
+                   if other != side_partner[sid])
+        ]
+        sid = min(candidates, key=lambda x: side_indices[x][0])
+        remaining -= {sid, side_partner[sid]}
+        if side_partner[sid] == sid:
+            middles.append(sid)
+        else:
+            pivot_pairs.append((sid, side_partner[sid]))
+    middles.sort(key=lambda x: (len(side_indices[x]), side_indices[x][0]))
+    block_sets = (
+        [side_indices[q] for _, q in pivot_pairs]
+        + [side_indices[c] for c in middles]
+        + [side_indices[p] for p, _ in reversed(pivot_pairs)]
+    )
+    perm = tuple(i for block in block_sets for i in block)
+    dims = tuple(len(block) for block in block_sets)
+    n = len(dims)
+    offs = np.cumsum((0,) + dims)
+    permuted = present[np.ix_(perm, perm)]
+    mask = np.zeros((n, n), dtype=bool)
+    for i in range(n):
+        for j in range(n):
+            mask[i, j] = permuted[offs[i]:offs[i + 1], offs[j]:offs[j + 1]].any()
+    return perm, dims, len(middles), len(pivot_pairs), mask
+
+
+def _symmetric_cases():
+    """Seeded symmetric profiles with K <= 30 at densities 0.05-0.5, every
+    other one with a zero diagonal and half of them with a planted
+    symmetric positive diagonal (disjoint transpositions), plus
+    symmetrically permuted blow-ups of the 10 x 10 reference profile."""
+    rng = np.random.default_rng(47)
+    cases = []
+    for n in range(2000):
+        k = int(rng.integers(1, 31))
+        upper = np.triu(rng.random((k, k)) < rng.uniform(0.05, 0.5))
+        s = upper | upper.T
+        if n % 2:
+            np.fill_diagonal(s, False)
+        if n % 4 >= 2:
+            p = rng.permutation(k)
+            s[p[0:k - 1:2], p[1::2]] = s[p[1::2], p[0:k - 1:2]] = True
+        cases.append(s * 1.0)
+    for b in (1, 2, 3, 20):
+        blowup = np.kron(BIG_EXAMPLE, np.ones((b, b)))
+        for _ in range(3):
+            p = rng.permutation(10 * b)
+            cases.append(blowup[np.ix_(p, p)])
+    return cases
+
+
+def test_sides_match_the_component_construction():
+    supported = paired = 0
+    for s in _symmetric_cases():
+        try:
+            expected = _reference_normal_form(s)
+        except NoSupportError:
+            with pytest.raises(NoSupportError):
+                symmetric_normal_form(s)
+            continue
+        nf = symmetric_normal_form(s)
+        assert (nf.perm, nf.dims, nf.L, nf.M) == expected[:4]
+        assert np.array_equal(nf.mask, expected[4])
+        supported += 1
+        paired += nf.M > 0
+    assert supported > 1000 and paired > 400
 
 
 # --- no-support splitting -------------------------------------------------------------
