@@ -203,7 +203,7 @@ def _cmd_report(args) -> int:
         except Exception as exc:
             doc["limit_weights"] = {"error": str(exc)}
             doc["residuals"] = {"error": str(exc)}
-    if args.with_mc or args.all:
+    if args.with_mc:
         try:
             doc["sweep"] = sweep_section(_sweep(an, args))
         except Exception as exc:
@@ -270,8 +270,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("profile")
     p.add_argument("--with-mc", action="store_true",
                    help="include the Monte Carlo sweep section")
-    p.add_argument("--all", action="store_true",
-                   help="alias for --with-mc")
     _add_eta_flags(p)
     _add_mc_flags(p)
     p.set_defaults(func=_cmd_report)

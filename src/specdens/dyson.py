@@ -259,14 +259,12 @@ def _class_mean(x: np.ndarray, cls: np.ndarray, n: int) -> np.ndarray:
     return total / np.bincount(cls, minlength=n)
 
 
-def _positive_start(start, k: int) -> np.ndarray:
-    v = np.asarray(start, dtype=float)
+def _positive_vector(x, k: int, name: str) -> np.ndarray:
+    v = np.asarray(x, dtype=float)
     if v.shape != (k,):
-        raise ValueError(f"start vector must have shape ({k},)")
+        raise ValueError(f"{name} must have shape ({k},)")
     if not ((v > 0) & np.isfinite(v)).all():
-        raise NonPositiveInputError(
-            "start vector must be finite and strictly positive"
-        )
+        raise NonPositiveInputError(f"{name} must be finite and strictly positive")
     return v.copy()
 
 
@@ -353,14 +351,14 @@ def _damped_step(a, z, c, x, u, res, theta):
 _WATCHDOG = 20
 
 
-def _stage(a, z, c, x, tol, budget: _Budget, newton: bool = True,
-           give_up: bool = False):
+def _stage(a, z, c, x, tol, budget: _Budget, give_up: bool = False):
     """Drive x to tolerance at fixed z and return it.
 
-    Newton steps are accepted without a monotonicity requirement; a
-    watchdog tracks the best iterate seen and, after _WATCHDOG consecutive
-    steps without a 10 percent improvement on it, reverts to the best
-    iterate and finishes the stage with monotone damped sweeps.  With
+    Newton steps are accepted without a monotonicity requirement, and a
+    damped sweep stands in for a Newton step that fails.  A watchdog tracks
+    the best iterate seen and, after _WATCHDOG consecutive steps without a
+    10 percent improvement on it, reverts to the best iterate and takes
+    monotone damped sweeps until one improves on it by 10 percent.  With
     ``give_up`` the stage raises NonConvergenceError instead, when the
     watchdog fires."""
     point = "eta" if c > 0 else "z"
@@ -376,7 +374,7 @@ def _stage(a, z, c, x, tol, budget: _Budget, newton: bool = True,
                 residual=res,
             )
         stepped = None
-        if newton and stale < _WATCHDOG:
+        if stale < _WATCHDOG:
             stepped = _newton_step(a, z, c, x, u)
         if stepped is None:
             x, res, u, theta = _damped_step(a, z, c, x, u, res, theta)
@@ -422,7 +420,6 @@ def solve_imaginary_axis(
     *,
     tol: float = 1e-12,
     max_iter: int = 100_000,
-    method: str = "hybrid",
     start=None,
 ) -> AxisSolution:
     """Solve ``1/v = eta + S v`` for the positive vector ``v`` at ``eta > 0``.
@@ -441,13 +438,6 @@ def solve_imaginary_axis(
         ``max |v * (eta + S v) - 1|``.
     max_iter : int
         Total iteration budget across all continuation stages.
-    method : {"hybrid", "damped"}
-        "hybrid" (default) accelerates the damped fixed point with
-        backtracked Newton steps; "damped" uses pure damped sweeps
-        ``v <- (1 - theta) v + theta / (eta + S v)`` with adaptive theta.
-        "damped" is a slow reference path: at ``eta <= 1e-6`` it can
-        exhaust the default ``max_iter`` (the arrow profile does at 1e-6
-        and 1e-10) and raise NonConvergenceError.
     start : array, optional
         Finite positive warm start; when given, continuation is skipped
         and the equation is solved directly at ``eta``.  It is averaged
@@ -457,14 +447,14 @@ def solve_imaginary_axis(
     ------
     ZeroRowError, NonConvergenceError, NonPositiveInputError, ValueError
     """
-    if method not in ("hybrid", "damped"):
-        raise ValueError(f"unknown method {method!r}")
     eta = _axis_point(eta)
     a, r, cls, row_max = _solver_system(s)
     y = None
     if start is not None:
-        y = _class_mean(_positive_start(start, a.shape[0]), cls, r.shape[0])
-    y, iterations = _axis(r, row_max, eta, tol, y, max_iter, method == "hybrid")
+        y = _class_mean(
+            _positive_vector(start, a.shape[0], "start vector"), cls, r.shape[0]
+        )
+    y, iterations = _axis(r, row_max, eta, tol, y, max_iter)
     v = y[cls]
     v.flags.writeable = False
     res = _residual(a, eta, 1.0, v)[0]
@@ -477,7 +467,7 @@ def _axis_point(eta) -> float:
     return float(eta)
 
 
-def _axis(r, row_max, eta, tol, y=None, max_iter=100_000, hybrid=True):
+def _axis(r, row_max, eta, tol, y=None, max_iter=100_000):
     """Axis solve on the merged profile ``r`` from the merged start ``y``
     (continuation when None), checked against the a priori bounds.  Returns
     the merged solution, also the warm start for a next point, and the
@@ -491,7 +481,7 @@ def _axis(r, row_max, eta, tol, y=None, max_iter=100_000, hybrid=True):
         path = [eta]
     for stage_eta in path:
         stage_tol = tol if stage_eta == eta else max(tol, 1e-10)
-        y = _stage(r, stage_eta, 1.0, y, stage_tol, budget, hybrid)
+        y = _stage(r, stage_eta, 1.0, y, stage_tol, budget)
     _assert_axis_bounds(row_max, eta, y, tol)
     return y, budget.used
 
@@ -633,13 +623,9 @@ def variational_value(s, x, eta: float) -> float:
         J(x) = <x, S x> / 2 - <log x> + eta <x>,
 
     with normalized averages ``<y> = mean(y)``.  Raises
-    NonPositiveInputError unless ``x > 0`` entrywise."""
+    NonPositiveInputError unless ``x`` is finite and ``x > 0`` entrywise."""
     profile = as_profile(s)
-    xv = np.asarray(x, dtype=float)
-    if xv.shape != (profile.k,):
-        raise ValueError(f"x must have shape ({profile.k},)")
-    if not (xv > 0).all():
-        raise NonPositiveInputError("x must be strictly positive entrywise")
+    xv = _positive_vector(x, profile.k, "x")
     if not (isinstance(eta, (int, float)) and math.isfinite(eta) and eta >= 0):
         raise ValueError("eta must be a finite non-negative real number")
     a = profile.entries
@@ -660,8 +646,8 @@ def _supported(s) -> Analysis:
 
 
 def _geometric_grid(eta_max: float, eta_min: float, points_per_decade: int):
-    if not (0 < eta_min < eta_max):
-        raise ValueError("need 0 < eta_min < eta_max")
+    if not (0 < eta_min < eta_max < math.inf):
+        raise ValueError("need 0 < eta_min < eta_max < inf")
     decades = math.log10(eta_max / eta_min)
     n = max(2, int(round(decades * points_per_decade)) + 1)
     return np.geomspace(eta_max, eta_min, n)

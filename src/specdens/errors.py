@@ -7,6 +7,27 @@ single except clause while still distinguishing individual conditions.
 
 from __future__ import annotations
 
+__all__ = [
+    "SpecdensError",
+    "NotSymmetricError",
+    "NegativeEntryError",
+    "ZeroRowError",
+    "NoSupportError",
+    "HasSupportError",
+    "StructureViolationError",
+    "CyclicRelationError",
+    "SelfCheckError",
+    "NotDAGError",
+    "BadBoundaryError",
+    "InfeasibleError",
+    "NonConvergenceError",
+    "ImaginarySignLostError",
+    "NonPositiveInputError",
+    "EigFailureError",
+    "SingularMatrixError",
+    "GridTooCoarseError",
+]
+
 
 class SpecdensError(Exception):
     """Base class for all errors raised by this package."""
@@ -35,10 +56,6 @@ class HasSupportError(SpecdensError):
     """The operation only applies to patterns without a positive diagonal."""
 
 
-class TooLargeError(SpecdensError):
-    """The brute-force oracle was called beyond its exhaustive-search limit."""
-
-
 class StructureViolationError(SpecdensError):
     """A structural invariant of the block normal form failed to hold."""
 
@@ -65,10 +82,6 @@ class BadBoundaryError(SpecdensError):
 
 class InfeasibleError(SpecdensError):
     """No monotone solution exists for the boundary data."""
-
-
-class PreconditionViolatedError(SpecdensError):
-    """A perturbation bound's smallness precondition does not hold."""
 
 
 # --- iterative solvers ---------------------------------------------------------

@@ -11,12 +11,11 @@ already-assigned vertices, the path through unassigned vertices minimizing
 the value gap per edge, and fill that path with an arithmetic progression.
 The per-stage slopes are strictly increasing; applied to the block relation
 of a normal form they are exact rationals, the block scaling exponents of
-the associated self-consistent Dyson equation.
+the associated self-consistent Dyson equation.  Every solution is certified
+exactly (:func:`verify_solution`) before it is returned.
 
-The module also provides an independent fixed-point iteration for
-cross-checking, a quantitative perturbation check for the averaging
-property, and :func:`analyze`, the exact classification of a profile that
-every consumer reads.
+The module also provides :func:`analyze`, the exact classification of a
+profile that every consumer reads.
 """
 
 from __future__ import annotations
@@ -25,14 +24,13 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional
+from typing import Mapping
 
 from .errors import (
     BadBoundaryError,
     InfeasibleError,
     NoSupportError,
     NotDAGError,
-    PreconditionViolatedError,
     SelfCheckError,
 )
 from .normal_form import (
@@ -42,23 +40,16 @@ from .normal_form import (
 )
 
 __all__ = [
-    "Rational",
     "BoundaryProblem",
     "ExponentSolution",
-    "OracleResult",
-    "StabilityReport",
     "IndexExponents",
     "solve_min_max",
     "verify_solution",
-    "fixed_point_oracle",
-    "stability_check",
     "relation_problem",
     "index_exponents",
     "Analysis",
     "analyze",
 ]
-
-Rational = Fraction
 
 
 @dataclass(frozen=True)
@@ -93,38 +84,6 @@ class ExponentSolution:
     values: dict
     deltas: tuple[Fraction, ...]
     stage_sets: tuple[frozenset, ...]
-
-
-@dataclass(frozen=True)
-class OracleResult:
-    """Outcome of the damped-free fixed-point iteration: float values, the
-    last sweep's maximum change, and whether tolerance was reached within
-    the sweep budget (non-convergence is reported, not raised)."""
-
-    values: dict
-    max_change: float
-    sweeps: int
-    converged: bool
-
-
-@dataclass(frozen=True)
-class StabilityReport:
-    """Perturbed-averaging check.
-
-    g_values solves the averaging identity with an additive perturbation d;
-    deviation = max |g - f|; delta is the smallest non-zero gap among values
-    of common neighbours (inf when there is none); bound = 2**ell * max|d|
-    with ell the longest path of the graph, sharper_bound = 3**(ell/2) *
-    max|d|; within_bound says deviation <= bound."""
-
-    g_values: dict
-    deviation: float
-    delta: float
-    bound: float
-    sharper_bound: float
-    within_bound: bool
-    sweeps: int
-    converged: bool
 
 
 @dataclass(frozen=True)
@@ -352,104 +311,6 @@ def verify_solution(p: BoundaryProblem, values: Mapping) -> bool:
         if 2 * vals[x] != lo + hi:
             return False
     return True
-
-
-def fixed_point_oracle(
-    p: BoundaryProblem, max_sweeps: int = 20000, tol: float = 1e-13
-) -> OracleResult:
-    """Independent floating-point iteration of the averaging identity.
-
-    Gauss-Seidel sweeps in topological order with the boundary pinned and
-    interior values started at 0. Non-convergence within the sweep budget is
-    reported through the converged flag, not raised."""
-    pos, succ, pred, topo = _validate_structure(p)
-    g = {v: 0.0 for v in p.vertices}
-    for y, fy in p.boundary_values.items():
-        g[y] = float(Fraction(fy))
-    interior = [v for v in topo if v not in p.boundary_values]
-    change = math.inf
-    sweeps = 0
-    while sweeps < max_sweeps and change > tol:
-        change = 0.0
-        for x in interior:
-            new = 0.5 * (min(g[u] for u in succ[x]) + max(g[u] for u in pred[x]))
-            change = max(change, abs(new - g[x]))
-            g[x] = new
-        sweeps += 1
-    return OracleResult(g, change, sweeps, change <= tol)
-
-
-def stability_check(
-    p: BoundaryProblem,
-    solution: ExponentSolution,
-    d: Mapping,
-    tol: float = 1e-12,
-    max_sweeps: int = 100_000,
-) -> StabilityReport:
-    """Solve the perturbed averaging problem and compare with the bound.
-
-    The perturbation d maps vertices to floats; g is computed by damped
-    (factor 1/2) Gauss-Seidel sweeps of g(x) = (min succ g + max pred g)/2 +
-    d(x) with boundary pinned at f(y) + d(y). PreconditionViolatedError is
-    raised when max|g - f| fails to sit strictly below half the smallest
-    non-zero common-neighbour gap delta, the regime in which the
-    2**ell * max|d| bound is asserted."""
-    pos, succ, pred, topo = _validate_structure(p)
-    f_exact = solution.values
-    f = {v: float(f_exact[v]) for v in p.vertices}
-    dmap = {v: float(d.get(v, 0.0)) for v in p.vertices}
-
-    g = dict(f)
-    for y in p.boundary_values:
-        g[y] = float(Fraction(p.boundary_values[y])) + dmap[y]
-    interior = [v for v in topo if v not in p.boundary_values]
-    change = math.inf
-    sweeps = 0
-    while sweeps < max_sweeps and change > tol:
-        change = 0.0
-        for x in interior:
-            target = 0.5 * (
-                min(g[u] for u in succ[x]) + max(g[u] for u in pred[x])
-            ) + dmap[x]
-            new = 0.5 * g[x] + 0.5 * target
-            change = max(change, abs(new - g[x]))
-            g[x] = new
-        sweeps += 1
-
-    # smallest non-zero gap among values of common direct neighbours
-    delta: Optional[Fraction] = None
-    for x in interior:
-        for group in (pred[x], succ[x]):
-            for i, u in enumerate(group):
-                for v in group[i + 1:]:
-                    gap = abs(f_exact[u] - f_exact[v])
-                    if gap != 0 and (delta is None or gap < delta):
-                        delta = gap
-    delta_f = math.inf if delta is None else float(delta)
-
-    deviation = max(abs(g[v] - f[v]) for v in p.vertices)
-    if not deviation < delta_f / 2:
-        raise PreconditionViolatedError(
-            f"perturbed solution deviates by {deviation}, not below "
-            f"delta/2 = {delta_f / 2}"
-        )
-
-    ell = _longest_path_length(p.vertices, p.edges, pos, succ, topo)
-    dnorm = max(abs(x) for x in dmap.values()) if dmap else 0.0
-    bound = (2.0 ** ell) * dnorm
-    sharper = (3.0 ** (ell / 2.0)) * dnorm
-    return StabilityReport(
-        g, deviation, delta_f, bound, sharper,
-        deviation <= bound * (1 + 1e-12) + 1e-300, sweeps, change <= tol,
-    )
-
-
-def _longest_path_length(vertices, edges, pos, succ, topo) -> int:
-    depth = {v: 0 for v in vertices}
-    for v in reversed(topo):
-        for u in succ[v]:
-            depth[v] = max(depth[v], depth[u] + 1)
-    return max(depth.values()) if depth else 0
 
 
 # --- block exponents -----------------------------------------------------------------

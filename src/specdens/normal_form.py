@@ -88,10 +88,6 @@ class VarianceProfile:
     def k(self) -> int:
         return self.entries.shape[0]
 
-    @classmethod
-    def from_rows(cls, rows) -> "VarianceProfile":
-        return cls(rows)
-
     def __repr__(self):
         return f"VarianceProfile(k={self.k})"
 

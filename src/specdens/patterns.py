@@ -20,9 +20,8 @@ For patterns without support, the maximal all-zero submatrix (by perimeter
 ``(|I| + |J| - K) / K`` is the mass of the point mass at zero in the
 associated density of states.
 
-Everything here is exact integer/boolean combinatorics; a brute-force oracle
-(`brute_force_oracle`) re-derives each classification by exhaustive search
-for cross-checking at small sizes.
+Everything here is exact integer/boolean combinatorics.  The test suite
+checks each classification against exhaustive search at small sizes.
 """
 
 from __future__ import annotations
@@ -30,12 +29,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, compress, permutations
+from itertools import compress
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import NoSupportError, TooLargeError, ZeroRowError
+from .errors import NoSupportError, ZeroRowError
 
 __all__ = [
     "ZeroPattern",
@@ -48,7 +47,6 @@ __all__ = [
     "is_fully_indecomposable",
     "fid_skeleton",
     "maximal_zero_submatrix",
-    "brute_force_oracle",
 ]
 
 
@@ -79,11 +77,6 @@ class ZeroPattern:
         if any(len(r) != k for r in rows):
             raise ValueError("matrix must be square")
         return cls(k, tuple(map(tuple, rows)))
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[int]]) -> "ZeroPattern":
-        """Pattern from an iterable of 0/1 (or boolean) rows."""
-        return cls.from_matrix(rows)
 
     def permuted(self, row_perm: Sequence[int], col_perm: Sequence[int]) -> "ZeroPattern":
         """Pattern with rows/columns reordered: new (i, j) = old
@@ -406,91 +399,3 @@ def maximal_zero_submatrix(p: ZeroPattern) -> SupportClass:
     assert all(not p.present[i][j] for i in witness_i for j in witness_j)
     kappa = Fraction(len(witness_i) + len(witness_j) - k, k)
     return SupportClass("NoSupport", witness_i, witness_j, kappa)
-
-
-# --- exhaustive reference implementations --------------------------------------
-
-_ORACLE_LIMIT = 8
-
-
-def _normalize_query(query: str) -> str:
-    return query.replace("_", "").replace("-", "").casefold()
-
-
-def brute_force_oracle(p: ZeroPattern, query: str):
-    """Exhaustive reference for the fast classifications (K <= 8 only).
-
-    query (case/underscore-insensitive):
-      - "support": bool, some positive diagonal exists;
-      - "total_support": bool, support and every present entry covered;
-      - "fid": bool, no p x q zero submatrix with p + q = K;
-      - "skeleton": K x K boolean grid of entries on positive diagonals
-        (NoSupportError if there is none);
-      - "max_zero": (perimeter, I, J) of a maximum-perimeter all-zero
-        submatrix with both index sets non-empty, or (0, (), ()) if every
-        entry is present.
-    """
-    if p.k > _ORACLE_LIMIT:
-        raise TooLargeError(f"oracle limited to K <= {_ORACLE_LIMIT}, got {p.k}")
-    q = _normalize_query(query)
-    if q == "support":
-        return _oracle_support(p)
-    if q == "totalsupport":
-        cover = _oracle_on_diagonal(p)
-        return cover is not None and cover == p.present
-    if q == "fid":
-        return _oracle_fid(p)
-    if q == "skeleton":
-        cover = _oracle_on_diagonal(p)
-        if cover is None:
-            raise NoSupportError("pattern has no positive diagonal")
-        return cover
-    if q == "maxzero":
-        return _oracle_max_zero(p)
-    raise ValueError(f"unknown oracle query: {query!r}")
-
-
-def _oracle_support(p: ZeroPattern) -> bool:
-    return any(
-        all(p.present[i][perm[i]] for i in range(p.k))
-        for perm in permutations(range(p.k))
-    )
-
-
-def _oracle_on_diagonal(p: ZeroPattern) -> Optional[tuple[tuple[bool, ...], ...]]:
-    k = p.k
-    covered = [[False] * k for _ in range(k)]
-    found = False
-    for perm in permutations(range(k)):
-        if all(p.present[i][perm[i]] for i in range(k)):
-            found = True
-            for i in range(k):
-                covered[i][perm[i]] = True
-    if not found:
-        return None
-    return tuple(tuple(r) for r in covered)
-
-
-def _oracle_fid(p: ZeroPattern) -> bool:
-    k = p.k
-    if k == 1:
-        return p.present[0][0]
-    idx = range(k)
-    for p_rows in range(1, k):
-        q_cols = k - p_rows
-        for rows in combinations(idx, p_rows):
-            for cols in combinations(idx, q_cols):
-                if all(not p.present[i][j] for i in rows for j in cols):
-                    return False
-    return True
-
-
-def _oracle_max_zero(p: ZeroPattern):
-    k = p.k
-    best = (0, (), ())
-    for p_rows in range(1, k + 1):
-        for rows in combinations(range(k), p_rows):
-            free = [j for j in range(k) if all(not p.present[i][j] for i in rows)]
-            if free and p_rows + len(free) > best[0]:
-                best = (p_rows + len(free), rows, tuple(free))
-    return best

@@ -33,10 +33,6 @@ __all__ = [
     "fraction_str",
     "parse_profile_text",
     "classification_document",
-    "scaling_section",
-    "weights_section",
-    "residuals_section",
-    "sweep_section",
     "scaling_table_csv",
     "density_csv",
     "sweep_csv",

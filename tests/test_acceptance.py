@@ -38,24 +38,18 @@ from specdens.dyson import (
     rescaled_residuals,
     solve_imaginary_axis,
 )
-from specdens.minmax import (
-    fixed_point_oracle,
-    index_exponents,
-    solve_min_max,
-    stability_check,
-    verify_solution,
-)
+from specdens.minmax import index_exponents, solve_min_max, verify_solution
 from specdens.montecarlo import EnsembleConfig, run_sweep
 from specdens.normal_form import build_relation, longest_chain, symmetric_normal_form
 from specdens.patterns import (
     ZeroPattern,
-    brute_force_oracle,
     fid_skeleton,
     has_support,
     has_total_support,
     is_fully_indecomposable,
     maximal_zero_submatrix,
 )
+from oracles import brute_force_oracle, fixed_point_oracle, stability_check
 from test_minmax import random_solvable_problem
 from test_normal_form import BIG_EXAMPLE
 
@@ -179,7 +173,7 @@ def test_pattern_oracle_equivalence():
     for _ in range(1000):
         k = rng.randint(1, 7)
         dens = rng.choice([0.2, 0.35, 0.5, 0.7, 0.9])
-        p = ZeroPattern.from_rows(
+        p = ZeroPattern.from_matrix(
             [[rng.random() < dens for _ in range(k)] for _ in range(k)]
         )
         sup = has_support(p)

@@ -147,6 +147,14 @@ def test_report_with_mc(arrow_file, capsys):
     assert doc["sweep"]["dims"] == [8, 16]
 
 
+def test_report_rejects_the_all_flag(arrow_file, capsys):
+    # --with-mc is the one flag that adds the sweep section
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["report", arrow_file, "--all"])
+    assert exc.value.code == 2
+    assert "--all" in capsys.readouterr().err
+
+
 def test_report_section_errors_do_not_abort(arrow_file, capsys, monkeypatch):
     def boom(*args, **kwargs):
         raise NonConvergenceError("budget exhausted", residual=1.0)
@@ -267,6 +275,14 @@ def test_exit_code_invalid_argument(arrow_file, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert "epsilon" in captured.err
+
+
+def test_exit_code_non_finite_eta_bound(arrow_file, capsys):
+    assert cli.main(["scaling", arrow_file, "--eta-max", "inf"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "eta_max" in captured.err
 
 
 def test_exit_code_invalid_thread_count(arrow_file, capsys):

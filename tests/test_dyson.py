@@ -84,12 +84,6 @@ def test_axis_upper_bound_is_exact():
         assert (sol.v <= (1.0 + 1e-9) / eta).all()
 
 
-def test_axis_damped_matches_hybrid():
-    h = solve_imaginary_axis(ARROW, 1e-3)
-    d = solve_imaginary_axis(ARROW, 1e-3, method="damped")
-    assert np.max(np.abs(h.v - d.v)) < 1e-9
-
-
 def test_axis_warm_start():
     base = solve_imaginary_axis(CHAIN3, 2e-8)
     warm = solve_imaginary_axis(CHAIN3, 1e-8, start=base.v)
@@ -112,8 +106,8 @@ def test_axis_rejects_bad_input():
         solve_imaginary_axis(ONES1, 0.0)
     with pytest.raises(ValueError):
         solve_imaginary_axis(ONES1, -1.0)
-    with pytest.raises(ValueError):
-        solve_imaginary_axis(ONES1, 1.0, method="secret")
+    with pytest.raises(TypeError):
+        solve_imaginary_axis(ONES1, 1.0, method="hybrid")
     with pytest.raises(NonPositiveInputError):
         solve_imaginary_axis(ONES1, 1.0, start=np.array([-1.0]))
 
@@ -323,7 +317,7 @@ def _reference_damped_step(a, z, c, x, res, theta):
     return trial, r, min(1.0, theta * 1.25)
 
 
-def _reference_stage(a, z, c, x, tol, budget, newton=True, give_up=False):
+def _reference_stage(a, z, c, x, tol, budget, give_up=False):
     res = _reference_residual(a, z, c, x)
     theta = 1.0
     best_x, best_res = x, res
@@ -332,7 +326,7 @@ def _reference_stage(a, z, c, x, tol, budget, newton=True, give_up=False):
         if budget.exhausted:
             raise NonConvergenceError("budget exhausted", residual=res)
         stepped = None
-        if newton and stale < 20:
+        if stale < 20:
             stepped = _reference_newton_step(a, z, c, x)
         if stepped is None:
             x, res, theta = _reference_damped_step(a, z, c, x, res, theta)
@@ -352,7 +346,7 @@ def _reference_stage(a, z, c, x, tol, budget, newton=True, give_up=False):
     return x, res
 
 
-def _reference_solve(r, z, c, tol, start=None, newton=True):
+def _reference_solve(r, z, c, tol, start=None):
     """The solve on the merged matrix ``r`` with the reference kernel:
     continuation from the cold start of each solver, or one stage from
     ``start`` that gives up when it stalls.  Returns the solution on ``r``
@@ -370,7 +364,7 @@ def _reference_solve(r, z, c, tol, start=None, newton=True):
     for point in path:
         x, _ = _reference_stage(
             r, point, c, x, tol if point == z else max(tol, floor), budget,
-            newton, give_up=start is not None,
+            give_up=start is not None,
         )
     return x, budget.used
 
@@ -450,12 +444,11 @@ def test_distinct_rows_solve_bit_identically(a, c, merged):
     r, cls = merged if merged is not None else (a, np.arange(len(a)))
     q = math.sqrt(c)
     for eta in (1e-2 * q, 1e-6 * q, 1e-10 * q):
-        for method in ("hybrid", "damped") if eta == 1e-2 * q else ("hybrid",):
-            sol = solve_imaginary_axis(a, eta, method=method)
-            y, its = _reference_solve(r, eta, 1.0, 1e-12, newton=method == "hybrid")
-            assert np.array_equal(sol.v, y[cls])
-            assert sol.residual == _reference_residual(a, eta, 1.0, y[cls])
-            assert sol.iterations == its
+        sol = solve_imaginary_axis(a, eta)
+        y, its = _reference_solve(r, eta, 1.0, 1e-12)
+        assert np.array_equal(sol.v, y[cls])
+        assert sol.residual == _reference_residual(a, eta, 1.0, y[cls])
+        assert sol.iterations == its
     for z in (0.5 + 1e-3j, 1e-3j, 1.0 + 1e-6j):
         z *= q
         sol = solve_upper_half_plane(a, z)
@@ -466,6 +459,59 @@ def test_distinct_rows_solve_bit_identically(a, c, merged):
     taus = np.linspace(-2.5, 2.5, 51) * q
     rho = _reference_density(r, cls, taus, 1e-6 * q)
     assert np.array_equal(density_profile(a, taus, epsilon=1e-6 * q).rho, rho)
+
+
+def _kernel_steps(monkeypatch):
+    """Record each step the solver kernel takes: "N" a Newton step, "n" a
+    Newton step that failed, "D" a damped sweep.  A damped sweep follows
+    every failed Newton step; any other one was taken after a watchdog
+    revert."""
+    steps = []
+    newton, damped = dyson._newton_step, dyson._damped_step
+
+    def newton_spy(*args):
+        stepped = newton(*args)
+        steps.append("N" if stepped is not None else "n")
+        return stepped
+
+    def damped_spy(*args):
+        steps.append("D")
+        return damped(*args)
+
+    monkeypatch.setattr(dyson, "_newton_step", newton_spy)
+    monkeypatch.setattr(dyson, "_damped_step", damped_spy)
+    return steps
+
+
+@pytest.mark.parametrize(
+    "z, start, failed_newton",
+    [
+        (1e-6, [1e200, 1e200], 1),
+        (1e-6, [1e-300, 1e-300], 0),
+        (0.3 + 1e-3j, [1 + 1e-300j, 1 + 1e-300j], 1),
+        (1e-6j, [1e-300j, 1e-300j], 0),
+    ],
+    ids=["axis_1e200", "axis_1e-300", "plane_1+1e-300j", "plane_1e-300j"],
+)
+def test_damped_fallback_solves_bit_identically(monkeypatch, z, start, failed_newton):
+    # warm starts far from the solution take the damped sweeps, after a
+    # failed Newton step and after a watchdog revert, and still match the
+    # reference kernel bit for bit
+    steps = _kernel_steps(monkeypatch)
+    if isinstance(z, float):
+        sol = solve_imaginary_axis(ARROW, z, start=start)
+        x, c, tol = sol.v, 1.0, 1e-12
+    else:
+        sol = solve_upper_half_plane(ARROW, z, start=start)
+        x, c, tol = sol.m, -1.0, 1e-10
+    assert steps.count("n") == failed_newton
+    assert steps.count("D") > failed_newton  # a watchdog revert happened
+    budget, x0 = dyson._Budget(100_000), np.asarray(start, dtype=x.dtype)
+    with np.errstate(all="ignore"):  # as the solvers: 1e200 overflows at first
+        y, _ = _reference_stage(ARROW, z, c, x0, tol, budget)
+    assert np.array_equal(x, y)
+    assert sol.residual == _reference_residual(ARROW, z, c, y)
+    assert sol.iterations == budget.used == len(steps) - steps.count("n")
 
 
 @pytest.mark.parametrize("a, c, merged", _KERNEL_CASES, ids=_KERNEL_IDS)
@@ -573,7 +619,25 @@ def test_variational_rejects_nonpositive():
         variational_value(ONES1, np.zeros(1), 1.0)
 
 
+@pytest.mark.parametrize("x", [[math.inf, 1.0], [math.nan, 1.0]], ids=["inf", "nan"])
+def test_variational_rejects_non_finite(x):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonPositiveInputError, match="finite and strictly positive"):
+            variational_value(ARROW, x, 0.1)
+
+
 # --- empirical power laws ---------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "eta_min, eta_max",
+    [(1e-4, math.inf), (1e-4, math.nan), (0.0, 1e-4), (1e-4, 1e-4)],
+    ids=["inf", "nan", "zero", "empty"],
+)
+def test_exponents_reject_bad_grid_bounds(eta_min, eta_max):
+    with pytest.raises(ValueError, match="eta_min < eta_max"):
+        empirical_exponents(ARROW, eta_min=eta_min, eta_max=eta_max)
 
 
 def test_exponents_flat_profile():

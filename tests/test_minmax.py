@@ -13,21 +13,19 @@ from specdens.errors import (
     BadBoundaryError,
     InfeasibleError,
     NotDAGError,
-    PreconditionViolatedError,
 )
 from specdens.minmax import (
     BoundaryProblem,
     analyze,
-    fixed_point_oracle,
     index_exponents,
     relation_problem,
     solve_min_max,
-    stability_check,
     verify_solution,
 )
 from specdens.normal_form import build_relation, pattern_of, symmetric_normal_form
 from specdens.patterns import maximal_zero_submatrix
 
+from oracles import PreconditionViolatedError, fixed_point_oracle, stability_check
 from test_normal_form import BIG_EXAMPLE, branchy_mask_form
 
 

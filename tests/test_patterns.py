@@ -7,11 +7,10 @@ import numpy as np
 import pytest
 
 from specdens import normal_form, patterns
-from specdens.errors import NoSupportError, TooLargeError, ZeroRowError
+from specdens.errors import NoSupportError, ZeroRowError
 from specdens.normal_form import _strong_hall
 from specdens.patterns import (
     ZeroPattern,
-    brute_force_oracle,
     fid_skeleton,
     has_support,
     has_total_support,
@@ -20,11 +19,12 @@ from specdens.patterns import (
     maximal_zero_submatrix,
 )
 
+from oracles import TooLargeError, brute_force_oracle
 from test_normal_form import BIG_EXAMPLE
 
 
 def pat(rows):
-    return ZeroPattern.from_rows(rows)
+    return ZeroPattern.from_matrix(rows)
 
 
 def random_pattern(rng, k, density):
