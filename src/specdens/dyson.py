@@ -623,15 +623,23 @@ def variational_value(s, x, eta: float) -> float:
         J(x) = <x, S x> / 2 - <log x> + eta <x>,
 
     with normalized averages ``<y> = mean(y)``.  Raises
-    NonPositiveInputError unless ``x`` is finite and ``x > 0`` entrywise."""
+    NonPositiveInputError unless ``x`` is finite and ``x > 0`` entrywise.
+    Returns ``inf``, without a warning, when evaluating ``<x, S x>`` or
+    ``eta <x>`` overflows the float range (entries near the float maximum
+    can overflow a partial sum even where ``J`` is finite); the value is
+    never NaN (at ``eta = 0`` the last term is zero even when ``<x>``
+    overflows)."""
     profile = as_profile(s)
     xv = _positive_vector(x, profile.k, "x")
     if not (isinstance(eta, (int, float)) and math.isfinite(eta) and eta >= 0):
         raise ValueError("eta must be a finite non-negative real number")
     a = profile.entries
-    return float(
-        0.5 * np.mean(xv * (a @ xv)) - np.mean(np.log(xv)) + eta * np.mean(xv)
-    )
+    # Both overflowing terms are non-negative and -<log x> is finite, so an
+    # overflow can only make the sum +inf.
+    with np.errstate(over="ignore"):
+        quadratic = 0.5 * np.mean(xv * (a @ xv))
+        linear = eta * np.mean(xv) if eta else 0.0
+    return float(quadratic - np.mean(np.log(xv)) + linear)
 
 
 # --- empirical power laws ---------------------------------------------------------

@@ -100,22 +100,59 @@ def _trial_rng(master_seed: int, size_index: int, trial: int) -> np.random.Gener
 def _scale_mask(profile, n: int) -> np.ndarray:
     """Entry standard deviations ``sqrt(s[block(i), block(j)] / N)``."""
     dim = n * profile.k
-    return np.sqrt(np.kron(profile.entries, np.ones((n, n))) / dim)
+    m = np.kron(profile.entries, np.ones((n, n)))
+    m /= dim
+    return np.sqrt(m, out=m)
+
+
+# Side of the square tiles in which a sample is made Hermitian; a complex
+# tile of this side is 256 KB, so a tile and its transposed partner are
+# read from cache.
+_TILE = 128
 
 
 def _sample(scale: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """One Hermitian sample with entry standard deviations ``scale``.  The
-    in-place steps round exactly like ``scale * ((a + a^H) / sqrt 2)`` with
-    ``a = (x + iy) / sqrt 2``, without its temporaries."""
+    """One Hermitian sample with entry standard deviations ``scale``.
+
+    Rounds exactly like ``scale * ((a + a^H) / sqrt 2)`` with
+    ``a = (x + iy) / sqrt 2`` and ``x``, ``y`` drawn in that order, but
+    holds no complex matrix besides the sample:
+
+    1. ``x`` and then ``y`` are drawn into one real buffer, and copied into
+       the real and imaginary parts of ``a``; the buffer is then freed.
+    2. ``a /= sqrt 2``.
+    3. ``a`` is made Hermitian in place, tile by tile.  For a pair of
+       off-diagonal tiles ``(I, J)``, ``J > I``, the new ``a_IJ`` is
+       ``a_IJ + conj(a_JI)^T``, formed before ``a_JI += conj(a_IJ)^T``
+       reads the old ``a_IJ``; a diagonal tile takes
+       ``a_II += conj(a_II)^T``.
+    4. ``a /= sqrt 2`` and ``a *= scale``.
+
+    ``x + iy`` only adds zeros to nonzero draws, so the copies hold its
+    bits; after that every entry goes through the same operations in the
+    same order as in the expression, so the result is the same bit for
+    bit."""
     dim = scale.shape[0]
-    x = rng.standard_normal((dim, dim))
-    y = rng.standard_normal((dim, dim))
-    a = x + 1j * y
+    a = np.empty((dim, dim), dtype=complex)
+    buf = rng.standard_normal((dim, dim))
+    a.real = buf
+    rng.standard_normal(out=buf)
+    a.imag = buf
+    del buf
     a /= math.sqrt(2.0)
-    b = a + a.conj().T
-    b /= math.sqrt(2.0)
-    b *= scale
-    return b
+    for i in range(0, dim, _TILE):
+        rows = slice(i, i + _TILE)
+        diag = a[rows, rows]
+        diag += diag.conj().T
+        for j in range(i + _TILE, dim, _TILE):
+            cols = slice(j, j + _TILE)
+            upper, lower = a[rows, cols], a[cols, rows]
+            new = upper + lower.conj().T
+            lower += upper.conj().T
+            upper[...] = new
+    a /= math.sqrt(2.0)
+    a *= scale
+    return a
 
 
 def sample_block_hermitian(s, n: int, rng: np.random.Generator) -> np.ndarray:

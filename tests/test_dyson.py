@@ -627,6 +627,17 @@ def test_variational_rejects_non_finite(x):
             variational_value(ARROW, x, 0.1)
 
 
+@pytest.mark.parametrize(
+    "x, eta",
+    [([1e200, 1e200], 0.1), ([1e300, 1e-300], 0.1), ([1e308, 1e308], 0.0)],
+    ids=["quadratic", "lopsided", "eta0"],
+)
+def test_variational_overflow_is_inf_without_warning(x, eta):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert variational_value(ARROW, x, eta) == math.inf
+
+
 # --- empirical power laws ---------------------------------------------------------
 
 

@@ -1,10 +1,12 @@
 """Tests for the random-matrix sampler and the scaling-law sweep."""
 
+import hashlib
 import math
 import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -80,14 +82,39 @@ def test_sample_is_bitwise_reproducible():
     assert not np.array_equal(h1, h3)
 
 
-@pytest.mark.parametrize("s", [ARROW, CHAIN3, [[1.0]]], ids=["arrow", "chain3", "scalar"])
-def test_sample_matches_reference_bitwise(s):
-    for n in (1, 7, 32):
+# Block sizes whose dimensions n * K fall below one 128-wide symmetrisation
+# tile, on it, one past it, and off its multiples.
+@pytest.mark.parametrize(
+    "s, sizes",
+    [
+        (ARROW, (1, 7, 32, 64, 65, 150)),
+        (CHAIN3, (1, 7, 42, 43, 100)),
+        ([[1.0]], (1, 7, 128, 129, 300)),
+    ],
+    ids=["arrow", "chain3", "scalar"],
+)
+def test_sample_matches_reference_bitwise(s, sizes):
+    assert montecarlo._TILE == 128
+    for n in sizes:
         for seed in (0, 5):
             expected = _reference_sample(s, n, _rng(seed, n))
             h = sample_block_hermitian(s, n, _rng(seed, n))
             assert np.array_equal(h, expected)
             assert np.array_equal(np.signbit(h.imag), np.signbit(expected.imag))
+
+
+def test_sample_peak_memory_is_two_complex_matrices():
+    # The sample, plus the real buffer its Gaussians are drawn into and the
+    # real scale mask, each half a complex matrix.
+    dim = 512
+    rng = _rng(9)
+    tracemalloc.start()
+    try:
+        sample_block_hermitian(ARROW, dim // 2, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.1 * 16 * dim**2
 
 
 def test_sample_norm_matches_semicircle_edge():
@@ -153,6 +180,30 @@ def test_sweep_is_bitwise_identical_across_workers_and_blas_threads(blas):
             assert getter() == threads
     for smin in results[1:]:
         assert np.array_equal(smin, results[0])
+
+
+# SHA-256 of smin.tobytes() and of the mean_cond values of a sweep whose
+# dimensions cross the 128-wide symmetrisation tile, captured while the
+# sampler still built every temporary of the one-expression reference
+# (numpy 2.4.6, OpenBLAS 0.3.31 on its SkylakeX kernels)
+SWEEP_SHA256 = {
+    "arrow": (
+        "16e5e9edcab051f0bb81fc362d4d48af194ad438e209c5f12be070fce042b935",
+        "aaa21a48544adf0ada8eea966303307bf5e0af149ab77e70c40337aaf5fdff57",
+    ),
+    "chain3": (
+        "a851fdf8f263a47fd31a77aefb824b5930a9a1792601b4b93f998caa5ff04baa",
+        "62cc857395d91301522931d0573262ef44bd3b6749222bebe55537998ef5a24e",
+    ),
+}
+
+
+@pytest.mark.parametrize("name, s", [("arrow", ARROW), ("chain3", CHAIN3)], ids=["arrow", "chain3"])
+def test_sweep_output_is_pinned_bitwise(name, s):
+    rep = run_sweep(EnsembleConfig(s, (16, 50, 100), trials=3, master_seed=4242))
+    smin_digest = hashlib.sha256(rep.smin.tobytes()).hexdigest()
+    cond_digest = hashlib.sha256(np.array(rep.mean_cond).tobytes()).hexdigest()
+    assert (smin_digest, cond_digest) == SWEEP_SHA256[name]
 
 
 def test_sweep_restores_blas_threads_when_a_trial_raises(blas, monkeypatch):
