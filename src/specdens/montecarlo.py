@@ -18,6 +18,12 @@ usable cores and pins numpy's bundled OpenBLAS to one thread while it runs,
 so the pool does not oversubscribe the cores and every eigenvalue
 computation takes the same single-threaded path whatever the process's
 BLAS thread count.
+
+A trial holds one complex ``N x N`` matrix: the sample is drawn, made
+Hermitian and scaled in place, and its eigenvalues are computed in its own
+buffer by the ``zheevd`` that ``np.linalg.eigvalsh`` calls on a copy, read
+from numpy's bundled OpenBLAS (``eigvalsh`` itself is the fallback when
+the library does not export it).  The results are the same bit for bit.
 """
 
 from __future__ import annotations
@@ -97,47 +103,53 @@ def _trial_rng(master_seed: int, size_index: int, trial: int) -> np.random.Gener
     return np.random.Generator(np.random.Philox(seq))
 
 
-def _scale_mask(profile, n: int) -> np.ndarray:
-    """Entry standard deviations ``sqrt(s[block(i), block(j)] / N)``."""
-    dim = n * profile.k
-    m = np.kron(profile.entries, np.ones((n, n)))
-    m /= dim
-    return np.sqrt(m, out=m)
+def _block_scale(profile, n: int) -> np.ndarray:
+    """Entry standard deviations ``sqrt(s_IJ / N)``, one per block."""
+    return np.sqrt(profile.entries / (n * profile.k))
 
 
-# Side of the square tiles in which a sample is made Hermitian; a complex
-# tile of this side is 256 KB, so a tile and its transposed partner are
-# read from cache.
+# Rows drawn per call to the generator, and side of the square tiles in
+# which a sample is made Hermitian; a complex tile of this side is 256 KB,
+# so a tile and its transposed partner are read from cache.
 _TILE = 128
 
 
-def _sample(scale: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """One Hermitian sample with entry standard deviations ``scale``.
+def _sample(scale: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
+    """One Hermitian sample of dimension ``N = n K`` whose ``n x n`` block
+    ``(I, J)`` has entry standard deviation ``scale[I, J]``.
 
-    Rounds exactly like ``scale * ((a + a^H) / sqrt 2)`` with
-    ``a = (x + iy) / sqrt 2`` and ``x``, ``y`` drawn in that order, but
-    holds no complex matrix besides the sample:
+    Rounds exactly like ``mask * ((a + a^H) / sqrt 2)`` with
+    ``a = (x + iy) / sqrt 2``, ``x`` and ``y`` drawn in that order and
+    ``mask`` the ``N x N`` blow-up of ``scale``, but holds no ``N x N``
+    array besides the sample:
 
-    1. ``x`` and then ``y`` are drawn into one real buffer, and copied into
-       the real and imaginary parts of ``a``; the buffer is then freed.
+    1. ``x`` and then ``y`` are drawn, ``_TILE`` rows at a time, into one
+       small real buffer and copied into the real and imaginary parts of
+       ``a``.  The generator fills values in order, so the chunks carry
+       the same stream as one ``N x N`` draw.
     2. ``a /= sqrt 2``.
     3. ``a`` is made Hermitian in place, tile by tile.  For a pair of
        off-diagonal tiles ``(I, J)``, ``J > I``, the new ``a_IJ`` is
        ``a_IJ + conj(a_JI)^T``, formed before ``a_JI += conj(a_IJ)^T``
        reads the old ``a_IJ``; a diagonal tile takes
        ``a_II += conj(a_II)^T``.
-    4. ``a /= sqrt 2`` and ``a *= scale``.
+    4. ``a /= sqrt 2``, and each block is multiplied by its scalar
+       ``scale[I, J]``, broadcast over the block: the same complex product
+       with a zero imaginary part that the mask's entry gives.
 
     ``x + iy`` only adds zeros to nonzero draws, so the copies hold its
     bits; after that every entry goes through the same operations in the
     same order as in the expression, so the result is the same bit for
     bit."""
-    dim = scale.shape[0]
+    k = scale.shape[0]
+    dim = n * k
     a = np.empty((dim, dim), dtype=complex)
-    buf = rng.standard_normal((dim, dim))
-    a.real = buf
-    rng.standard_normal(out=buf)
-    a.imag = buf
+    buf = np.empty((min(_TILE, dim), dim))
+    for part in (a.real, a.imag):
+        for i in range(0, dim, _TILE):
+            rows = buf[: min(_TILE, dim - i)]
+            rng.standard_normal(out=rows)
+            part[i : i + _TILE] = rows
     del buf
     a /= math.sqrt(2.0)
     for i in range(0, dim, _TILE):
@@ -151,8 +163,14 @@ def _sample(scale: np.ndarray, rng: np.random.Generator) -> np.ndarray:
             lower += upper.conj().T
             upper[...] = new
     a /= math.sqrt(2.0)
-    a *= scale
+    blocks = a.reshape(k, n, k, n)  # blocks[I, :, J, :] is block (I, J)
+    blocks *= scale[:, None, :, None]
     return a
+
+
+def _is_integer(value) -> bool:
+    """A Python or numpy integer, and not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def sample_block_hermitian(s, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -162,30 +180,58 @@ def sample_block_hermitian(s, n: int, rng: np.random.Generator) -> np.ndarray:
     ``s[block(i), block(j)] / N``, the diagonal is real Gaussian with the
     same variance, and entries in vanishing blocks are exactly zero."""
     profile = as_profile(s)
-    if n < 1:
-        raise ValueError("block size n must be positive")
-    return _sample(_scale_mask(profile, n), rng)
+    if not _is_integer(n) or n < 1:
+        raise ValueError("block size n must be a positive integer")
+    n = int(n)
+    return _sample(_block_scale(profile, n), n, rng)
 
 
-def _checked_eigenvalues(h: np.ndarray) -> np.ndarray:
+def _checked_eigenvalues(h: np.ndarray, overwrite: bool = False) -> np.ndarray:
     """Eigenvalues of a Hermitian matrix with decomposition sanity checks:
     the eigenvalue sum must reproduce the trace and the sum of squares the
-    squared Frobenius norm."""
+    squared Frobenius norm.
+
+    With ``overwrite``, ``h`` must be a writeable C-contiguous complex128
+    matrix (ValueError otherwise), and LAPACK's ``zheevd`` reduces it in
+    place (its contents are lost) when numpy's bundled OpenBLAS exports
+    the routine; otherwise, and always without ``overwrite``,
+    ``np.linalg.eigvalsh`` works on a copy.  Both run ``zheevd`` on the
+    lower triangle of the same matrix, so the eigenvalues are the same
+    bit for bit."""
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError("matrix must be square")
-    if not np.isfinite(h).all():
+    dim = h.shape[0]
+    if dim == 0:
+        raise ValueError("matrix must be non-empty")
+    if overwrite and not (
+        h.dtype == np.complex128 and h.flags.c_contiguous and h.flags.writeable
+    ):
+        raise ValueError("overwrite needs a writeable C-contiguous complex128 matrix")
+    # A non-finite entry makes the sum of squares non-finite, so the
+    # entries are only scanned (one boolean per entry) when it is.
+    fro2 = float(np.vdot(h, h).real)
+    if not math.isfinite(fro2) and not np.isfinite(h).all():
         raise EigFailureError("matrix has non-finite entries")
-    try:
-        w = np.linalg.eigvalsh(h)
-    except np.linalg.LinAlgError as exc:
-        raise EigFailureError(f"eigendecomposition failed: {exc}") from exc
+    trace = np.trace(h).real
+    zheevd = _lapack_zheevd() if overwrite else None
+    if zheevd is None:
+        try:
+            w = np.linalg.eigvalsh(h)
+        except np.linalg.LinAlgError as exc:
+            raise EigFailureError(f"eigendecomposition failed: {exc}") from exc
+    else:
+        # Read as a column-major array, the C buffer of conj(h) is
+        # conj(h)^T = h, the matrix eigvalsh would copy into LAPACK's order.
+        np.conjugate(h, out=h)
+        w = np.empty(dim)
+        info = zheevd(_LAPACK_COL_MAJOR, b"N", b"L", dim, h.ctypes.data, dim, w.ctypes.data)
+        if info != 0:
+            raise EigFailureError(f"eigendecomposition failed: zheevd info {info}")
     if not np.isfinite(w).all():
         raise EigFailureError("eigendecomposition returned non-finite values")
     scale = max(1.0, float(np.abs(w).max(initial=0.0)))
-    dim = h.shape[0]
-    if abs(w.sum() - np.trace(h).real) > 1e-8 * scale * dim:
+    if abs(w.sum() - trace) > 1e-8 * scale * dim:
         raise EigFailureError("eigenvalue sum does not match the trace")
-    fro2 = float(np.linalg.norm(h, "fro") ** 2)
     if abs(float(w @ w) - fro2) > 1e-8 * max(1.0, fro2):
         raise EigFailureError(
             "eigenvalue squares do not match the Frobenius norm"
@@ -224,25 +270,56 @@ _BLAS_LOCK = threading.Lock()
 
 
 @functools.cache
-def _blas_threads():
-    """Getter and setter of numpy's bundled OpenBLAS thread count, or None
-    when the library or its symbols cannot be found.  Looked up on the
-    first sweep, not on import."""
+def _openblas():
+    """numpy's bundled OpenBLAS as a ctypes library, or None when it cannot
+    be found or loaded.  Looked up on first use, not on import."""
     root = Path(np.__file__).resolve().parent
     for libdir in (root.parent / "numpy.libs", root / ".dylibs"):
         for path in sorted(libdir.glob("*openblas*")):
             try:
-                lib = ctypes.CDLL(str(path))
+                return ctypes.CDLL(str(path))
             except OSError:
                 continue
-            for get_name, set_name in _BLAS_THREAD_SYMBOLS:
-                getter = getattr(lib, get_name, None)
-                setter = getattr(lib, set_name, None)
-                if getter is None or setter is None:
-                    continue
-                getter.argtypes, getter.restype = [], ctypes.c_int
-                setter.argtypes, setter.restype = [ctypes.c_int], None
-                return getter, setter
+    return None
+
+
+@functools.cache
+def _blas_threads():
+    """Getter and setter of numpy's bundled OpenBLAS thread count, or None
+    when the library or its symbols cannot be found."""
+    lib = _openblas()
+    for get_name, set_name in _BLAS_THREAD_SYMBOLS:
+        getter = getattr(lib, get_name, None)
+        setter = getattr(lib, set_name, None)
+        if getter is None or setter is None:
+            continue
+        getter.argtypes, getter.restype = [], ctypes.c_int
+        setter.argtypes, setter.restype = [ctypes.c_int], None
+        return getter, setter
+    return None
+
+
+# LAPACKE's eigenvalue routine for complex Hermitian matrices in the 64-bit
+# integer OpenBLAS builds numpy wheels bundle (the Fortran routine behind
+# np.linalg.eigvalsh), and LAPACKE's code for column-major storage.
+_ZHEEVD_SYMBOLS = ("scipy_LAPACKE_zheevd64_", "LAPACKE_zheevd64_")
+_LAPACK_COL_MAJOR = 102
+
+
+@functools.cache
+def _lapack_zheevd():
+    """``LAPACKE_zheevd(layout, jobz, uplo, n, a, lda, w) -> info`` of
+    numpy's bundled OpenBLAS, or None when the library or the symbol
+    cannot be found."""
+    lib = _openblas()
+    for name in _ZHEEVD_SYMBOLS:
+        fn = getattr(lib, name, None)
+        if fn is None:
+            continue
+        i64, ptr = ctypes.c_int64, ctypes.c_void_p
+        fn.argtypes = [ctypes.c_int, ctypes.c_char, ctypes.c_char, i64, ptr, i64, ptr]
+        fn.restype = i64
+        return fn
     return None
 
 
@@ -270,6 +347,17 @@ def _usable_cores() -> int:
     return os.cpu_count() or 1
 
 
+def _trial(scale: np.ndarray, n: int, seed: int, size_index: int, trial: int):
+    """Smallest singular value and condition number (infinite when the
+    sample is exactly singular) of one sweep trial; the sample is reduced
+    in place, so the trial holds one complex matrix."""
+    rng = _trial_rng(seed, size_index, trial)
+    w = np.abs(_checked_eigenvalues(_sample(scale, n, rng), overwrite=True))
+    small = float(w.min())
+    cond = math.inf if small == 0.0 else float(w.max()) / small
+    return small, cond
+
+
 def run_sweep(config: EnsembleConfig) -> SweepReport:
     """Run the full sweep described by ``config`` and fit the scaling law.
 
@@ -278,44 +366,43 @@ def run_sweep(config: EnsembleConfig) -> SweepReport:
     and reduced in index order, so the report is identical for any worker
     count and any BLAS thread count.  When the OpenBLAS thread count
     cannot be set, the default pool has one worker and BLAS keeps its own
-    threads."""
+    threads.  Sizes, trials and workers must be integers (Python or
+    numpy, not bool); anything else raises ValueError."""
     an = analyze(config.profile)
     profile, ex = an.profile, an.exponents
-    sizes = tuple(int(n) for n in config.sizes)
-    if not sizes or any(n < 1 for n in sizes):
+    sizes = tuple(config.sizes)
+    if not sizes or not all(_is_integer(n) and n >= 1 for n in sizes):
         raise ValueError("sizes must be positive integers")
+    if not _is_integer(config.trials):
+        raise ValueError("trials must be an integer")
     if config.trials < 2:
         raise ValueError("need at least two trials per size")
-    if config.workers is not None and config.workers < 1:
+    workers = config.workers
+    if workers is not None and not (_is_integer(workers) and workers >= 1):
         raise ValueError("workers must be a positive integer")
+    sizes = tuple(int(n) for n in sizes)
+    trials = int(config.trials)
     k = profile.k
     dims = tuple(n * k for n in sizes)
     control = _blas_threads()
-    workers = config.workers
     if workers is None:
         workers = 1 if control is None else _usable_cores()
 
-    def one(scale: np.ndarray, size_index: int, trial: int):
-        rng = _trial_rng(config.master_seed, size_index, trial)
-        w = np.abs(_checked_eigenvalues(_sample(scale, rng)))
-        small = float(w.min())
-        cond = math.inf if small == 0.0 else float(w.max()) / small
-        return small, cond
-
-    smin = np.empty((len(sizes), config.trials))
+    smin = np.empty((len(sizes), trials))
     cond = np.empty_like(smin)
     # The pool is shut down (every trial finished) before BLAS is restored.
     with _one_blas_thread(control), ThreadPoolExecutor(workers) as pool:
         for i, n in enumerate(sizes):
-            scale = _scale_mask(profile, n)
+            scale = _block_scale(profile, n)
             futures = [
-                pool.submit(one, scale, i, t) for t in range(config.trials)
+                pool.submit(_trial, scale, n, config.master_seed, i, t)
+                for t in range(trials)
             ]
             for t, fut in enumerate(futures):
                 smin[i, t], cond[i, t] = fut.result()
 
     mean = smin.mean(axis=1)
-    stderr = smin.std(axis=1, ddof=1) / math.sqrt(config.trials)
+    stderr = smin.std(axis=1, ddof=1) / math.sqrt(trials)
     if len(sizes) >= 2 and (mean > 0).all():
         slope = float(np.polyfit(np.log(dims), np.log(mean), 1)[0])
     else:
@@ -324,7 +411,7 @@ def run_sweep(config: EnsembleConfig) -> SweepReport:
     return SweepReport(
         sizes=sizes,
         dims=dims,
-        trials=config.trials,
+        trials=trials,
         master_seed=config.master_seed,
         smin=smin,
         mean_smin=tuple(float(x) for x in mean),

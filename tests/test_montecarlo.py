@@ -103,18 +103,32 @@ def test_sample_matches_reference_bitwise(s, sizes):
             assert np.array_equal(np.signbit(h.imag), np.signbit(expected.imag))
 
 
-def test_sample_peak_memory_is_two_complex_matrices():
-    # The sample, plus the real buffer its Gaussians are drawn into and the
-    # real scale mask, each half a complex matrix.
-    dim = 512
-    rng = _rng(9)
+def _traced_peak(fn, *args):
     tracemalloc.start()
     try:
-        sample_block_hermitian(ARROW, dim // 2, rng)
-        peak = tracemalloc.get_traced_memory()[1]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.1 * 16 * dim**2
+
+
+def test_sample_peak_memory_is_one_complex_matrix():
+    # The sample, plus a 128-row real draw buffer and a few 128 x 128
+    # symmetrisation tiles: no N x N real buffer or scale mask.
+    dim = 1024
+    peak = _traced_peak(sample_block_hermitian, ARROW, dim // 2, _rng(9))
+    assert peak <= 1.25 * 16 * dim**2
+
+
+def test_trial_peak_memory_is_one_complex_matrix():
+    # The eigenvalues are computed in the sample's own buffer.  LAPACK's
+    # workspace and eigvalsh's private copy are not traced, which is why
+    # test_sweep_calls_lapack_in_place_not_eigvalsh exists.
+    dim = 1024
+    n = dim // 2
+    scale = montecarlo._block_scale(analyze(ARROW).profile, n)
+    peak = _traced_peak(montecarlo._trial, scale, n, 9, 0, 0)
+    assert peak <= 1.25 * 16 * dim**2
 
 
 def test_sample_norm_matches_semicircle_edge():
@@ -153,6 +167,44 @@ def test_condition_number():
     assert condition_number(np.diag([4.0, 1.0])) == pytest.approx(4.0)
     with pytest.raises(SingularMatrixError):
         condition_number(np.diag([1.0, 0.0]))
+
+
+@pytest.mark.parametrize("n", [2.5, 0, -1, True, "4"])
+def test_sample_rejects_bad_block_size(n):
+    with pytest.raises(ValueError, match="block size n must be a positive integer"):
+        sample_block_hermitian(ARROW, n, _rng(1))
+
+
+def test_sample_accepts_numpy_block_size():
+    h = sample_block_hermitian(ARROW, np.int64(12), _rng(3, 4))
+    assert np.array_equal(h, sample_block_hermitian(ARROW, 12, _rng(3, 4)))
+
+
+@pytest.mark.parametrize("fn", [smallest_singular_value, condition_number])
+def test_empty_matrix_is_rejected(fn):
+    with pytest.raises(ValueError, match="matrix must be non-empty"):
+        fn(np.zeros((0, 0), dtype=complex))
+
+
+def test_in_place_eigenvalues_match_eigvalsh():
+    h = sample_block_hermitian(CHAIN3, 50, _rng(12))
+    expected = np.linalg.eigvalsh(h)
+    assert np.array_equal(montecarlo._checked_eigenvalues(h.copy(), overwrite=True), expected)
+    assert np.array_equal(montecarlo._checked_eigenvalues(h), expected)
+    for bad in (h.T, h.real.copy(), h[::2, ::2]):
+        with pytest.raises(ValueError, match="overwrite needs"):
+            montecarlo._checked_eigenvalues(bad, overwrite=True)
+
+
+def test_lapack_failure_raises_eig_failure(monkeypatch):
+    if montecarlo._lapack_zheevd() is None:
+        pytest.skip("the bundled OpenBLAS exports no zheevd")
+    monkeypatch.setattr(montecarlo, "_lapack_zheevd", lambda: lambda *args: 3)
+    h = sample_block_hermitian(ARROW, 8, _rng(13))
+    with pytest.raises(EigFailureError, match="zheevd info 3"):
+        montecarlo._checked_eigenvalues(h, overwrite=True)
+    with pytest.raises(EigFailureError, match="zheevd info 3"):
+        run_sweep(EnsembleConfig(ARROW, (8,), trials=2, workers=1))
 
 
 # --- sweeps -----------------------------------------------------------------------
@@ -206,10 +258,56 @@ def test_sweep_output_is_pinned_bitwise(name, s):
     assert (smin_digest, cond_digest) == SWEEP_SHA256[name]
 
 
+# Dimensions below, across and off the 128-wide tiles of drawing and
+# symmetrisation, on both profiles.
+@pytest.mark.parametrize(
+    "s, sizes", [(ARROW, (16, 50, 100)), (CHAIN3, (7, 43, 100))], ids=["arrow", "chain3"]
+)
+def test_sweep_matches_reference_loop_bitwise(s, sizes):
+    # Unlike the pinned digests, this holds on any CPU and BLAS kernel.
+    trials, seed = 3, 4243
+    rep = run_sweep(EnsembleConfig(s, sizes, trials=trials, master_seed=seed))
+    smin = np.empty((len(sizes), trials))
+    cond = np.empty_like(smin)
+    with montecarlo._one_blas_thread(montecarlo._blas_threads()):
+        for i, n in enumerate(sizes):
+            for t in range(trials):
+                w = np.abs(np.linalg.eigvalsh(_reference_sample(s, n, _rng(seed, i, t))))
+                smin[i, t] = w.min()
+                cond[i, t] = w.max() / w.min()
+    assert np.array_equal(rep.smin, smin)
+    assert rep.mean_cond == tuple(float(c) for c in cond.mean(axis=1))
+
+
+def test_sweep_without_lapack_symbol_falls_back_bitwise(monkeypatch):
+    cfg = EnsembleConfig(CHAIN3, (16, 50), trials=3, master_seed=8)
+    expected = run_sweep(cfg)
+    monkeypatch.setattr(montecarlo, "_lapack_zheevd", lambda: None)
+    rep = run_sweep(cfg)
+    assert np.array_equal(rep.smin, expected.smin)
+    assert rep.mean_cond == expected.mean_cond
+
+
+def test_sweep_calls_lapack_in_place_not_eigvalsh(monkeypatch):
+    if montecarlo._lapack_zheevd() is None:
+        pytest.skip("the bundled OpenBLAS exports no zheevd")
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def spy(*args, **kwargs):
+        calls.append(args[0].shape)
+        return eigvalsh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    rep = run_sweep(EnsembleConfig(ARROW, (8, 16), trials=3, master_seed=2))
+    assert calls == []
+    assert (rep.smin > 0).all()
+
+
 def test_sweep_restores_blas_threads_when_a_trial_raises(blas, monkeypatch):
     getter, setter = blas
 
-    def fail(h):
+    def fail(h, overwrite=False):
         raise EigFailureError("injected failure")
 
     monkeypatch.setattr(montecarlo, "_checked_eigenvalues", fail)
@@ -272,7 +370,8 @@ def test_sweep_default_pool_size(monkeypatch):
 def test_import_does_not_look_up_blas():
     code = (
         "import specdens, specdens.montecarlo as m; "
-        "print(m._blas_threads.cache_info().currsize)"
+        "print(sum(f.cache_info().currsize for f in "
+        "(m._openblas, m._blas_threads, m._lapack_zheevd)))"
     )
     src = str(Path(montecarlo.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
@@ -322,3 +421,31 @@ def test_sweep_validates_config():
         run_sweep(EnsembleConfig(ARROW, (8,), trials=1))
     with pytest.raises(ValueError, match="workers must be a positive integer"):
         run_sweep(EnsembleConfig(ARROW, (8,), trials=5, workers=0))
+
+
+@pytest.mark.parametrize(
+    "sizes, trials, workers, message",
+    [
+        ((2.5, 4), 3, 1, "sizes must be positive integers"),
+        ((True, 4), 3, 1, "sizes must be positive integers"),
+        ((np.float64(4.0),), 3, 1, "sizes must be positive integers"),
+        ((4, 8), 2.5, 1, "trials must be an integer"),
+        ((4, 8), True, 1, "trials must be an integer"),
+        ((4, 8), 3, 1.5, "workers must be a positive integer"),
+        ((4, 8), 3, True, "workers must be a positive integer"),
+    ],
+)
+def test_sweep_rejects_non_integers(sizes, trials, workers, message):
+    with pytest.raises(ValueError, match=message):
+        run_sweep(EnsembleConfig(ARROW, sizes, trials=trials, workers=workers))
+
+
+def test_sweep_accepts_numpy_integers():
+    expected = run_sweep(EnsembleConfig(ARROW, (4, 8), trials=3, master_seed=6, workers=2))
+    rep = run_sweep(
+        EnsembleConfig(
+            ARROW, np.array([4, 8]), trials=np.int64(3), master_seed=6, workers=np.int32(2)
+        )
+    )
+    assert rep.sizes == (4, 8) and rep.trials == 3
+    assert np.array_equal(rep.smin, expected.smin)
