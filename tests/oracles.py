@@ -3,7 +3,7 @@ library against.
 
 ``brute_force_oracle`` re-derives each zero-pattern classification of
 :mod:`specdens.patterns` by enumerating permutations and submatrices
-(K <= 8).  ``fixed_point_oracle`` solves a min-max averaging problem of
+(K <= 8); ``grid`` spells a pattern out as its K x K boolean grid.  ``fixed_point_oracle`` solves a min-max averaging problem of
 :mod:`specdens.minmax` by Gauss-Seidel sweeps, independently of the exact
 constructive solver, and ``stability_check`` measures how far a perturbed
 problem's solution moves against the ``2**ell * max|d|`` bound.
@@ -33,6 +33,12 @@ class PreconditionViolatedError(Exception):
 # --- zero patterns ----------------------------------------------------------------
 
 _ORACLE_LIMIT = 8
+
+
+def grid(p: ZeroPattern) -> tuple[tuple[bool, ...], ...]:
+    """The K x K boolean grid of a pattern: ``grid(p)[i][j]`` is True iff
+    entry (i, j) is present."""
+    return tuple(tuple(row) for row in p.present)
 
 
 def _normalize_query(query: str) -> str:
