@@ -53,7 +53,7 @@ from .errors import (
 )
 from .minmax import Analysis, IndexExponents, analyze
 from .normal_form import BlockRelation, NormalForm, as_profile, pattern_of
-from .patterns import fid_skeleton
+from .patterns import ZeroPattern, fid_skeleton
 
 __all__ = [
     "AxisSolution",
@@ -448,6 +448,7 @@ def solve_imaginary_axis(
     ZeroRowError, NonConvergenceError, NonPositiveInputError, ValueError
     """
     eta = _axis_point(eta)
+    _check_controls(tol, max_iter)
     a, r, cls, row_max = _solver_system(s)
     y = None
     if start is not None:
@@ -465,6 +466,17 @@ def _axis_point(eta) -> float:
     if not (isinstance(eta, (int, float)) and math.isfinite(eta) and eta > 0):
         raise ValueError("eta must be a finite positive real number")
     return float(eta)
+
+
+def _check_controls(tol, max_iter=1) -> None:
+    """ValueError unless ``tol`` is finite and positive and ``max_iter`` a
+    positive integer (not a bool)."""
+    if not (isinstance(tol, (int, float)) and math.isfinite(tol) and tol > 0):
+        raise ValueError("tol must be a finite positive number")
+    if isinstance(max_iter, bool) or not (
+        isinstance(max_iter, (int, np.integer)) and max_iter >= 1
+    ):
+        raise ValueError("max_iter must be a positive integer")
 
 
 def _axis(r, row_max, eta, tol, y=None, max_iter=100_000):
@@ -524,6 +536,7 @@ def solve_upper_half_plane(
     ZeroRowError, NonConvergenceError, ImaginarySignLostError, ValueError
     """
     z = _plane_point(z)
+    _check_controls(tol, max_iter)
     a, r, cls, _ = _solver_system(s)
     y = None
     if start is not None:
@@ -589,6 +602,7 @@ def density_profile(
     """
     if not (isinstance(epsilon, (int, float)) and epsilon > 0):
         raise NonPositiveInputError("epsilon must be strictly positive")
+    _check_controls(tol, max_iter)
     _, r, cls, _ = _solver_system(s)
     taus = np.asarray(tau_grid, dtype=float)
     if taus.ndim != 1 or taus.size == 0:
@@ -656,6 +670,8 @@ def _supported(s) -> Analysis:
 def _geometric_grid(eta_max: float, eta_min: float, points_per_decade: int):
     if not (0 < eta_min < eta_max < math.inf):
         raise ValueError("need 0 < eta_min < eta_max < inf")
+    if not points_per_decade >= 1:
+        raise ValueError("points_per_decade must be at least 1")
     decades = math.log10(eta_max / eta_min)
     n = max(2, int(round(decades * points_per_decade)) + 1)
     return np.geomspace(eta_max, eta_min, n)
@@ -679,6 +695,7 @@ def empirical_exponents(
     largest absolute gap between fitted and predicted slopes.  The fit
     converges only logarithmically in ``eta``, so wide grids (several
     decades) are required for tight comparisons."""
+    _check_controls(tol)
     an = _supported(s)
     nf, ex = an.nf, an.exponents
     etas = _geometric_grid(eta_max, eta_min, points_per_decade)
@@ -771,8 +788,7 @@ def rescaled_profile(s) -> RescaledData:
             jcols = nf.block_indices(partner[j])
             s1[np.ix_(rows, jcols)] = permuted[np.ix_(rows, jcols)]
 
-    skel = fid_skeleton(pattern_of(permuted)).on_diagonal
-    if not np.array_equal(s0 != 0, np.array(skel, dtype=bool)):
+    if ZeroPattern.from_matrix(s0) != fid_skeleton(pattern_of(permuted)):
         raise SelfCheckError(
             "pair blocks do not match the positive-diagonal entries"
         )
@@ -804,6 +820,7 @@ def limit_weights(
     remaining error is of order ``omega_1 * omega_2``.  Returns the
     :func:`rescaled_profile` data of ``s`` with ``w``, ``w_residual`` (the
     max-norm of ``w * (s0 @ w) - 1``) and ``eta_pair`` filled in."""
+    _check_controls(tol)
     an = analyze(s)
     data = rescaled_profile(an)
     e1, e2 = (float(eta_pair[0]), float(eta_pair[1]))
@@ -896,6 +913,7 @@ def atom_mass_estimate(
     (|I| + |J| - K) / K of a maximal all-zero submatrix; the numeric value
     is taken at the smallest point of the descending ``eta_grid``.  Raises
     HasSupportError when the pattern has support (no atom at zero)."""
+    _check_controls(tol)
     an = analyze(s)
     if an.nf is not None:
         raise HasSupportError(

@@ -212,7 +212,15 @@ def _checked_eigenvalues(h: np.ndarray, overwrite: bool = False) -> np.ndarray:
     fro2 = float(np.vdot(h, h).real)
     if not math.isfinite(fro2) and not np.isfinite(h).all():
         raise EigFailureError("matrix has non-finite entries")
-    trace = np.trace(h).real
+    # Past 2**1000 the sums of squares may overflow: the checks then run on
+    # h * unit, a power of two that scales every entry exactly to <= 1.
+    unit, hs = 1.0, h
+    if not fro2 < 2.0**1000:
+        unit = 2.0 ** -math.frexp(float(np.abs(h).max()))[1]
+        hs = h * unit
+        fro2 = float(np.vdot(hs, hs).real)
+    trace = np.trace(hs).real
+    del hs
     zheevd = _lapack_zheevd() if overwrite else None
     if zheevd is None:
         try:
@@ -229,10 +237,11 @@ def _checked_eigenvalues(h: np.ndarray, overwrite: bool = False) -> np.ndarray:
             raise EigFailureError(f"eigendecomposition failed: zheevd info {info}")
     if not np.isfinite(w).all():
         raise EigFailureError("eigendecomposition returned non-finite values")
-    scale = max(1.0, float(np.abs(w).max(initial=0.0)))
-    if abs(w.sum() - trace) > 1e-8 * scale * dim:
+    ws = w * unit
+    scale = max(1.0, float(np.abs(ws).max(initial=0.0)))
+    if abs(ws.sum() - trace) > 1e-8 * scale * dim:
         raise EigFailureError("eigenvalue sum does not match the trace")
-    if abs(float(w @ w) - fro2) > 1e-8 * max(1.0, fro2):
+    if abs(float(ws @ ws) - fro2) > 1e-8 * max(1.0, fro2):
         raise EigFailureError(
             "eigenvalue squares do not match the Frobenius norm"
         )

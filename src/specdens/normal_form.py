@@ -337,11 +337,9 @@ def verify_normal_form(s, nf: NormalForm) -> None:
         fail("coupling strictly below the block anti-diagonal")
 
     for i in range(n):
-        j = nf.partner(i)
-        rows = list(nf.block_indices(i))
-        cols = list(nf.block_indices(j))
-        block = ZeroPattern.from_matrix(nf.permuted_profile[np.ix_(rows, cols)])
-        if not is_fully_indecomposable(block):
+        rows, cols = nf.block_indices(i), nf.block_indices(nf.partner(i))
+        block = nf.permuted_profile[rows.start:rows.stop, cols.start:cols.stop]
+        if not is_fully_indecomposable(ZeroPattern.from_matrix(block)):
             fail("an anti-diagonal block is not fully indecomposable")
 
 

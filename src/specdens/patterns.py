@@ -28,8 +28,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from itertools import compress
 from typing import Optional, Sequence
 
 import numpy as np
@@ -40,7 +38,6 @@ __all__ = [
     "ZeroPattern",
     "MatchingResult",
     "SupportClass",
-    "SkeletonResult",
     "max_bipartite_matching",
     "has_support",
     "has_total_support",
@@ -52,52 +49,44 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ZeroPattern:
-    """Zero pattern of a K x K matrix: ``present[i][j]`` is True iff entry
-    (i, j) is non-zero. Entries are classified by exact comparison with zero;
-    no thresholding is applied."""
+    """Zero pattern of a K x K matrix as its row lists: ``rows[i]`` holds,
+    ascending, the columns j whose entry (i, j) is non-zero.  Entries are
+    classified by exact comparison with zero; no thresholding is applied.
+    A pattern takes O(K + nnz) memory.  ValueError unless K is an integer
+    >= 1 and ``rows`` is a tuple of K tuples of strictly ascending ints in
+    ``range(K)``."""
 
     k: int
-    present: tuple[tuple[bool, ...], ...]
+    rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("pattern dimension must be >= 1")
-        if len(self.present) != self.k or any(len(r) != self.k for r in self.present):
-            raise ValueError("present must be a K x K grid")
+        k, rows = self.k, self.rows
+        if not isinstance(k, int) or isinstance(k, bool) or k < 1:
+            raise ValueError("pattern dimension must be an integer >= 1")
+        if type(rows) is not tuple or len(rows) != k or any(
+            type(row) is not tuple for row in rows
+        ):
+            raise ValueError("rows must be a tuple of K tuples")
+        for row in rows:
+            last = -1
+            for j in row:
+                if type(j) is not int or not last < j < k:
+                    raise ValueError(f"row columns must ascend in range({k})")
+                last = j
 
     @classmethod
     def from_matrix(cls, entries) -> "ZeroPattern":
-        """Pattern of a square matrix; an entry is present iff it is exactly
-        non-zero."""
-        if isinstance(entries, np.ndarray) and entries.ndim == 2:
-            rows = (entries != 0).tolist()
-        else:
-            rows = [[x != 0 for x in r] for r in entries]
-        k = len(rows)
-        if any(len(r) != k for r in rows):
+        """Pattern of a square matrix (anything ``np.asarray`` accepts); an
+        entry is present iff it is exactly non-zero.  ValueError unless the
+        matrix is two-dimensional and square."""
+        a = np.asarray(entries)
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError("matrix must be square")
-        return cls(k, tuple(map(tuple, rows)))
-
-    def permuted(self, row_perm: Sequence[int], col_perm: Sequence[int]) -> "ZeroPattern":
-        """Pattern with rows/columns reordered: new (i, j) = old
-        (row_perm[i], col_perm[j])."""
-        return ZeroPattern(
-            self.k,
-            tuple(
-                tuple(self.present[row_perm[i]][col_perm[j]] for j in range(self.k))
-                for i in range(self.k)
-            ),
-        )
-
-    @cached_property
-    def _adjacency(self) -> tuple[tuple[int, ...], ...]:
-        """Present columns of every row, ascending."""
-        cols = range(self.k)
-        return tuple(tuple(compress(cols, row)) for row in self.present)
-
-    def row_indices(self, i: int) -> list[int]:
-        """Columns present in row i, ascending."""
-        return list(self._adjacency[i])
+        i, j = np.nonzero(a)  # row-major: each row's columns ascend
+        cols = tuple(j.tolist())
+        ends = i.searchsorted(np.arange(1, a.shape[0] + 1)).tolist()
+        rows = tuple(map(cols.__getitem__, map(slice, [0, *ends], ends)))
+        return cls(a.shape[0], rows)
 
 
 @dataclass(frozen=True)
@@ -127,17 +116,6 @@ class SupportClass:
     witness_i: Optional[tuple[int, ...]] = None
     witness_j: Optional[tuple[int, ...]] = None
     kappa: Optional[Fraction] = None
-
-
-@dataclass(frozen=True)
-class SkeletonResult:
-    """Entries of a pattern lying on at least one positive diagonal.
-
-    ``on_diagonal[i][j]`` flags entry (i, j); ``skeleton`` is the pattern
-    retaining exactly those entries."""
-
-    on_diagonal: tuple[tuple[bool, ...], ...]
-    skeleton: ZeroPattern
 
 
 def augmenting_matching(
@@ -238,7 +216,7 @@ def max_bipartite_matching(p: ZeroPattern) -> MatchingResult:
     derived from it here (support, skeleton, full indecomposability, the
     zero-submatrix witness) is the same for every maximum matching."""
     k = p.k
-    col_match = augmenting_matching(p._adjacency, k)
+    col_match = augmenting_matching(p.rows, k)
     row_match: list[Optional[int]] = [None] * k
     for j, i in enumerate(col_match):
         if i is not None:
@@ -316,29 +294,27 @@ def _fine_classes(
     maximum matching the caller already holds.  Raises NoSupportError when
     no positive diagonal exists."""
     if col_match is None:
-        col_match = augmenting_matching(p._adjacency, p.k)
+        col_match = augmenting_matching(p.rows, p.k)
     if None in col_match:
         raise NoSupportError("pattern has no positive diagonal")
     digraph = [
         [c for c in map(col_match.__getitem__, cols) if c != i]
-        for i, cols in enumerate(p._adjacency)
+        for i, cols in enumerate(p.rows)
     ]
     return col_match, _strongly_connected_components(digraph)
 
 
-def _on_diagonal(
+def _skeleton_rows(
     p: ZeroPattern, col_match: Optional[Sequence[Optional[int]]] = None
-) -> tuple[tuple[bool, ...], ...]:
-    """The ``on_diagonal`` flags of :func:`fid_skeleton`, from the matching
-    ``col_match`` when one is given.  Raises NoSupportError."""
+) -> tuple[tuple[int, ...], ...]:
+    """The rows of :func:`fid_skeleton`, from the matching ``col_match``
+    when one is given.  Raises NoSupportError."""
     col_match, comp = _fine_classes(p, col_match)
-    on_diag = []
-    for i, cols in enumerate(p._adjacency):
-        row = [False] * p.k
-        for j in cols:
-            row[j] = comp[i] == comp[col_match[j]]
-        on_diag.append(tuple(row))
-    return tuple(on_diag)
+    col_comp = [comp[i] for i in col_match]
+    return tuple(
+        tuple(j for j in cols if col_comp[j] == comp[i])
+        for i, cols in enumerate(p.rows)
+    )
 
 
 def is_fully_indecomposable(p: ZeroPattern) -> bool:
@@ -350,22 +326,22 @@ def is_fully_indecomposable(p: ZeroPattern) -> bool:
         return False
 
 
-def fid_skeleton(p: ZeroPattern) -> SkeletonResult:
-    """Entries lying on at least one positive diagonal.
+def fid_skeleton(p: ZeroPattern) -> ZeroPattern:
+    """The skeleton: the pattern of the entries lying on at least one
+    positive diagonal.
 
     Raises NoSupportError when no positive diagonal exists. With a perfect
     matching fixed, entry (i, j) lies on a positive diagonal iff row i and
     the row matched to column j belong to the same fine class; the
     resulting set is matching-independent."""
-    on_diag = _on_diagonal(p)
-    return SkeletonResult(on_diag, ZeroPattern(p.k, on_diag))
+    return ZeroPattern(p.k, _skeleton_rows(p))
 
 
 def has_total_support(p: ZeroPattern) -> bool:
     """True iff every present entry lies on some positive diagonal (and at
     least one exists)."""
     try:
-        return _on_diagonal(p) == p.present
+        return _skeleton_rows(p) == p.rows
     except NoSupportError:
         return False
 
@@ -378,15 +354,13 @@ def maximal_zero_submatrix(p: ZeroPattern) -> SupportClass:
     "SupportOnly". Otherwise Koenig's construction yields row/column sets
     I, J with the I x J submatrix all-zero and |I| + |J| = 2K - max_matching,
     the maximum possible perimeter; kappa = (|I| + |J| - K) / K."""
-    k = p.k
-    adj = p._adjacency
-    for i in range(k):
-        if not adj[i]:
-            raise ZeroRowError(f"row {i} is entirely zero")
+    k, adj = p.k, p.rows
+    if not all(adj):
+        raise ZeroRowError(f"row {adj.index(())} is entirely zero")
     col_match = augmenting_matching(adj, k)
     size = k - col_match.count(None)
     if size == k:
-        tag = "TotalSupport" if _on_diagonal(p, col_match) == p.present else "SupportOnly"
+        tag = "TotalSupport" if _skeleton_rows(p, col_match) == adj else "SupportOnly"
         return SupportClass(tag)
 
     matched = set(col_match)
@@ -396,6 +370,6 @@ def maximal_zero_submatrix(p: ZeroPattern) -> SupportClass:
     witness_i = tuple(i for i in range(k) if reach_rows[i])
     witness_j = tuple(j for j in range(k) if not reach_cols[j])
     assert len(witness_i) + len(witness_j) == 2 * k - size
-    assert all(not p.present[i][j] for i in witness_i for j in witness_j)
+    assert all(reach_cols[j] for i in witness_i for j in adj[i])
     kappa = Fraction(len(witness_i) + len(witness_j) - k, k)
     return SupportClass("NoSupport", witness_i, witness_j, kappa)

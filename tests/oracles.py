@@ -3,7 +3,8 @@ library against.
 
 ``brute_force_oracle`` re-derives each zero-pattern classification of
 :mod:`specdens.patterns` by enumerating permutations and submatrices
-(K <= 8); ``grid`` spells a pattern out as its K x K boolean grid.  ``fixed_point_oracle`` solves a min-max averaging problem of
+(K <= 8); ``grid`` spells a pattern out as its K x K boolean grid.
+``fixed_point_oracle`` solves a min-max averaging problem of
 :mod:`specdens.minmax` by Gauss-Seidel sweeps, independently of the exact
 constructive solver, and ``stability_check`` measures how far a perturbed
 problem's solution moves against the ``2**ell * max|d|`` bound.
@@ -38,7 +39,13 @@ _ORACLE_LIMIT = 8
 def grid(p: ZeroPattern) -> tuple[tuple[bool, ...], ...]:
     """The K x K boolean grid of a pattern: ``grid(p)[i][j]`` is True iff
     entry (i, j) is present."""
-    return tuple(tuple(row) for row in p.present)
+    cells = []
+    for row in p.rows:
+        flags = [False] * p.k
+        for j in row:
+            flags[j] = True
+        cells.append(tuple(flags))
+    return tuple(cells)
 
 
 def _normalize_query(query: str) -> str:
@@ -65,7 +72,7 @@ def brute_force_oracle(p: ZeroPattern, query: str):
         return _oracle_support(p)
     if q == "totalsupport":
         cover = _oracle_on_diagonal(p)
-        return cover is not None and cover == p.present
+        return cover is not None and cover == grid(p)
     if q == "fid":
         return _oracle_fid(p)
     if q == "skeleton":
@@ -79,18 +86,19 @@ def brute_force_oracle(p: ZeroPattern, query: str):
 
 
 def _oracle_support(p: ZeroPattern) -> bool:
+    present = grid(p)
     return any(
-        all(p.present[i][perm[i]] for i in range(p.k))
+        all(present[i][perm[i]] for i in range(p.k))
         for perm in permutations(range(p.k))
     )
 
 
 def _oracle_on_diagonal(p: ZeroPattern) -> Optional[tuple[tuple[bool, ...], ...]]:
-    k = p.k
+    k, present = p.k, grid(p)
     covered = [[False] * k for _ in range(k)]
     found = False
     for perm in permutations(range(k)):
-        if all(p.present[i][perm[i]] for i in range(k)):
+        if all(present[i][perm[i]] for i in range(k)):
             found = True
             for i in range(k):
                 covered[i][perm[i]] = True
@@ -100,25 +108,25 @@ def _oracle_on_diagonal(p: ZeroPattern) -> Optional[tuple[tuple[bool, ...], ...]
 
 
 def _oracle_fid(p: ZeroPattern) -> bool:
-    k = p.k
+    k, present = p.k, grid(p)
     if k == 1:
-        return p.present[0][0]
+        return present[0][0]
     idx = range(k)
     for p_rows in range(1, k):
         q_cols = k - p_rows
         for rows in combinations(idx, p_rows):
             for cols in combinations(idx, q_cols):
-                if all(not p.present[i][j] for i in rows for j in cols):
+                if all(not present[i][j] for i in rows for j in cols):
                     return False
     return True
 
 
 def _oracle_max_zero(p: ZeroPattern):
-    k = p.k
+    k, present = p.k, grid(p)
     best = (0, (), ())
     for p_rows in range(1, k + 1):
         for rows in combinations(range(k), p_rows):
-            free = [j for j in range(k) if all(not p.present[i][j] for i in rows)]
+            free = [j for j in range(k) if all(not present[i][j] for i in rows)]
             if free and p_rows + len(free) > best[0]:
                 best = (p_rows + len(free), rows, tuple(free))
     return best

@@ -49,7 +49,7 @@ from specdens.patterns import (
     is_fully_indecomposable,
     maximal_zero_submatrix,
 )
-from oracles import brute_force_oracle, fixed_point_oracle, stability_check
+from oracles import brute_force_oracle, fixed_point_oracle, grid, stability_check
 from test_minmax import random_solvable_problem
 from test_normal_form import BIG_EXAMPLE
 
@@ -181,9 +181,9 @@ def test_pattern_oracle_equivalence():
         assert has_total_support(p) == brute_force_oracle(p, "total_support")
         assert is_fully_indecomposable(p) == brute_force_oracle(p, "fid")
         if sup:
-            assert fid_skeleton(p).on_diagonal == brute_force_oracle(p, "skeleton")
-        rows_ok = all(any(r) for r in p.present)
-        cols_ok = all(any(p.present[i][j] for i in range(k)) for j in range(k))
+            assert grid(fid_skeleton(p)) == brute_force_oracle(p, "skeleton")
+        rows_ok = all(p.rows)
+        cols_ok = len({j for row in p.rows for j in row}) == k
         if rows_ok and cols_ok:
             res = maximal_zero_submatrix(p)
             perimeter, _, _ = brute_force_oracle(p, "max_zero")

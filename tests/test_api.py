@@ -8,7 +8,8 @@ from specdens import dyson, errors, minmax, montecarlo, normal_form, patterns, r
 MODULES = (dyson, errors, minmax, montecarlo, normal_form, patterns, report)
 
 # names that were public once and are not any more: the test-only
-# references live in tests/oracles.py, the rest were aliases
+# references live in tests/oracles.py, fid_skeleton returns the skeleton
+# ZeroPattern itself, the rest were aliases
 REMOVED = (
     "brute_force_oracle",
     "fixed_point_oracle",
@@ -18,6 +19,7 @@ REMOVED = (
     "TooLargeError",
     "PreconditionViolatedError",
     "Rational",
+    "SkeletonResult",
 )
 
 
@@ -39,6 +41,11 @@ def test_removed_names_are_absent():
         assert not hasattr(specdens, name)
         assert not any(hasattr(module, name) for module in MODULES)
     assert not hasattr(specdens.ZeroPattern, "from_rows")
+    # a pattern is its row lists: no grid, no cached second copy
+    pattern = specdens.ZeroPattern.from_matrix([[1.0, 0.0], [1.0, 1.0]])
+    for name in ("present", "permuted", "row_indices", "_adjacency"):
+        assert not hasattr(pattern, name)
+    assert isinstance(specdens.fid_skeleton(pattern), specdens.ZeroPattern)
     assert not hasattr(specdens.VarianceProfile, "from_rows")
     for name in ("scaling_section", "weights_section", "residuals_section",
                  "sweep_section"):

@@ -62,9 +62,7 @@ def test_census_of_symmetric_patterns_up_to_k4():
             assert has_total_support(p) == total
             assert is_fully_indecomposable(p) == brute_force_oracle(p, "fid")
             if support:
-                assert grid(fid_skeleton(p).skeleton) == brute_force_oracle(
-                    p, "skeleton"
-                )
+                assert grid(fid_skeleton(p)) == brute_force_oracle(p, "skeleton")
             tag, value = _invariants(s)
             expected = (
                 "TotalSupport" if total else "SupportOnly" if support else "NoSupport"

@@ -285,6 +285,14 @@ def test_exit_code_non_finite_eta_bound(arrow_file, capsys):
     assert "eta_max" in captured.err
 
 
+@pytest.mark.parametrize("per_decade", ["0", "-3"])
+def test_exit_code_invalid_grid_density(arrow_file, capsys, per_decade):
+    assert cli.main(["scaling", arrow_file, "--per-decade", per_decade]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "points_per_decade must be at least 1" in captured.err
+
+
 def test_exit_code_invalid_thread_count(arrow_file, capsys):
     assert cli.main(["simulate", arrow_file, "--sizes", "4,8", "--trials", "2",
                      "--threads", "0"]) == 2

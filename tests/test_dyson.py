@@ -1,6 +1,7 @@
 """Tests for the self-consistent solvers and the rescaled zero-energy data."""
 
 import math
+import time
 import warnings
 from fractions import Fraction as F
 
@@ -166,6 +167,42 @@ def test_axis_nonconvergence_reports_residual():
     with pytest.raises(NonConvergenceError) as exc:
         solve_imaginary_axis(BIG_EXAMPLE, 1e-12, max_iter=10)
     assert exc.value.residual is not None and exc.value.residual > 0
+
+
+_SOLVERS = {
+    "axis": lambda **kw: solve_imaginary_axis(ARROW, 0.3, **kw),
+    "plane": lambda **kw: solve_upper_half_plane(ARROW, 0.3 + 1e-3j, **kw),
+    "density": lambda **kw: density_profile(ARROW, [0.3], epsilon=1e-3, **kw),
+    "exponents": lambda **kw: empirical_exponents(ARROW, **kw),
+    "weights": lambda **kw: limit_weights(ARROW, **kw),
+    "atom": lambda **kw: atom_mass_estimate(NOSUPPORT3, **kw),
+}
+_BAD_CONTROLS = {
+    "tol": (math.nan, -1.0, 0.0, math.inf),
+    "max_iter": (-5, 0, True, 2.0),
+    "points_per_decade": (0, -3, math.nan),
+}
+
+
+@pytest.mark.parametrize("solver, name", [
+    (solver, name)
+    for solver, names in [
+        ("axis", ("tol", "max_iter")),
+        ("plane", ("tol", "max_iter")),
+        ("density", ("tol", "max_iter")),
+        ("exponents", ("tol", "points_per_decade")),
+        ("weights", ("tol",)),
+        ("atom", ("tol",)),
+    ]
+    for name in names
+])
+def test_solver_controls_are_checked_up_front(solver, name):
+    # before, tol = nan, -1 or 0 spent the whole 100k-iteration budget
+    for value in _BAD_CONTROLS[name]:
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match=name):
+            _SOLVERS[solver](**{name: value})
+        assert time.perf_counter() - t0 < 0.5
 
 
 # --- upper half-plane -------------------------------------------------------------

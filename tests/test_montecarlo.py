@@ -180,6 +180,17 @@ def test_sample_accepts_numpy_block_size():
     assert np.array_equal(h, sample_block_hermitian(ARROW, 12, _rng(3, 4)))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_spectrum_checks_hold_at_large_scale(monkeypatch):
+    # the squares of 1e200 overflow: the checks run in a power-of-two scale
+    h = np.diag([1e200, 1.0])
+    assert smallest_singular_value(h) == 1.0
+    # right trace, wrong sum of squares
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: np.array([1.0, 1.0]) * 5e199)
+    with pytest.raises(EigFailureError, match="Frobenius"):
+        smallest_singular_value(h)
+
+
 @pytest.mark.parametrize("fn", [smallest_singular_value, condition_number])
 def test_empty_matrix_is_rejected(fn):
     with pytest.raises(ValueError, match="matrix must be non-empty"):

@@ -232,14 +232,9 @@ def _reference_components(adj):
 
 
 def _reference_sub_pattern(comp, adj):
+    # comp is ascending, so the renumbered rows ascend too
     at = {v: t for t, v in enumerate(comp)}
-    rows = []
-    for i in comp:
-        row = [False] * len(comp)
-        for j in adj[i]:
-            row[at[j]] = True
-        rows.append(tuple(row))
-    return ZeroPattern(len(comp), tuple(rows))
+    return ZeroPattern(len(comp), tuple(tuple(at[j] for j in adj[i]) for i in comp))
 
 
 def _reference_two_color(comp, adj):
@@ -266,8 +261,7 @@ def _reference_normal_form(s):
     indecomposability test of each, and a two-colouring of every component
     that fails it."""
     entries = VarianceProfile(s).entries
-    skel = fid_skeleton(pattern_of(entries)).skeleton
-    adj = [skel.row_indices(i) for i in range(skel.k)]
+    adj = [list(row) for row in fid_skeleton(pattern_of(entries)).rows]
     present = entries != 0
     side_indices, side_partner = [], []
     for comp in _reference_components(adj):
@@ -384,7 +378,7 @@ def _random_no_support_profile(rng, k, density):
         s = (a | a.T) * 1.0
         prof = VarianceProfile(s)
         pat = pattern_of(prof)
-        if any(not any(r) for r in pat.present):
+        if not all(pat.rows):
             continue
         if has_support(pat):
             continue

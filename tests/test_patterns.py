@@ -19,7 +19,7 @@ from specdens.patterns import (
     maximal_zero_submatrix,
 )
 
-from oracles import TooLargeError, brute_force_oracle
+from oracles import TooLargeError, brute_force_oracle, grid
 from test_normal_form import BIG_EXAMPLE
 
 
@@ -27,8 +27,54 @@ def pat(rows):
     return ZeroPattern.from_matrix(rows)
 
 
+def permuted(p, row_perm, col_perm):
+    """Pattern with rows/columns reordered: new (i, j) = old
+    (row_perm[i], col_perm[j])."""
+    return pat(np.array(grid(p))[np.ix_(row_perm, col_perm)])
+
+
 def random_pattern(rng, k, density):
     return pat([[1 if rng.random() < density else 0 for _ in range(k)] for _ in range(k)])
+
+
+# --- the pattern itself ------------------------------------------------------------
+
+
+def test_pattern_is_its_row_lists():
+    p = pat(np.array([[0.0, 2.0, 0.0], [0.0, 0.0, 0.0], [1e-300, 0.0, -1.0]]))
+    assert p == ZeroPattern(3, ((1,), (), (0, 2)))
+    assert pat([[True, False], [True, True]]).rows == ((0,), (0, 1))
+
+
+@pytest.mark.parametrize("entries", [
+    np.ones((2, 2, 2)),  # ndim 3
+    np.array([1.0, 0.0]),  # ndim 1
+    [[1, 0], [1]],  # ragged
+    np.ones((2, 3)),  # not square
+    np.zeros((0, 0)),  # empty
+])
+def test_from_matrix_rejects_malformed_input(entries):
+    with pytest.raises(ValueError):
+        ZeroPattern.from_matrix(entries)
+
+
+@pytest.mark.parametrize("k, rows", [
+    (2, ((True, 2), (False, True))),  # a boolean grid, not row lists
+    (2, ((0, 2), (1,))),  # column out of range
+    (2, ((-1,), (1,))),  # negative column
+    (2, ((1, 0), (1,))),  # unsorted
+    (2, ((0, 0), (1,))),  # repeated
+    (2, ((0.0,), (1,))),  # not an integer
+    (2, ((True,), (1,))),  # a bool
+    (2, ((0,),)),  # too few rows
+    (2, ([0], (1,))),  # a row that is not a tuple
+    (2, [(0,), (1,)]),  # rows that are not a tuple
+    (0, ()),  # empty
+    (True, ((0,),)),  # a bool dimension
+])
+def test_pattern_rejects_malformed_rows(k, rows):
+    with pytest.raises(ValueError):
+        ZeroPattern(k, rows)
 
 
 # --- matching -------------------------------------------------------------------
@@ -90,8 +136,7 @@ def test_fid_implies_total_support_implies_support():
 
 
 def test_fid_skeleton_example():
-    res = fid_skeleton(pat([[1, 1], [1, 0]]))
-    assert res.skeleton.present == ((False, True), (True, False))
+    assert fid_skeleton(pat([[1, 1], [1, 0]])) == pat([[0, 1], [1, 0]])
 
 
 def test_fid_skeleton_no_support_raises():
@@ -107,10 +152,10 @@ def test_skeleton_has_total_support():
         p = random_pattern(rng, k, rng.choice([0.35, 0.5, 0.7]))
         if not has_support(p):
             continue
-        sk = fid_skeleton(p).skeleton
+        sk = fid_skeleton(p)
         assert has_total_support(sk)
         # idempotent
-        assert fid_skeleton(sk).skeleton.present == sk.present
+        assert fid_skeleton(sk) == sk
         n_checked += 1
 
 
@@ -128,9 +173,9 @@ def test_skeleton_matching_independent_under_permutation():
         cp = list(range(k))
         rng.shuffle(rp)
         rng.shuffle(cp)
-        sk_then_perm = fid_skeleton(p).skeleton.permuted(rp, cp)
-        perm_then_sk = fid_skeleton(p.permuted(rp, cp)).skeleton
-        assert sk_then_perm.present == perm_then_sk.present
+        sk_then_perm = permuted(fid_skeleton(p), rp, cp)
+        perm_then_sk = fid_skeleton(permuted(p, rp, cp))
+        assert sk_then_perm == perm_then_sk
         n_checked += 1
 
 
@@ -166,14 +211,14 @@ def test_kappa_in_unit_interval_and_witness_zero():
     while n_checked < 200:
         k = rng.randint(2, 7)
         p = random_pattern(rng, k, 0.3)
-        if any(not any(row) for row in p.present):
+        if not all(p.rows):
             continue
         res = maximal_zero_submatrix(p)
         if res.tag != "NoSupport":
             continue
         assert 0 < res.kappa <= 1
         assert len(res.witness_i) + len(res.witness_j) > k
-        assert all(not p.present[i][j] for i in res.witness_i for j in res.witness_j)
+        assert all(j not in p.rows[i] for i in res.witness_i for j in res.witness_j)
         n_checked += 1
 
 
@@ -189,7 +234,7 @@ def test_classification_permutation_invariant():
         cp = list(range(k))
         rng.shuffle(rp)
         rng.shuffle(cp)
-        q = p.permuted(rp, cp)
+        q = permuted(p, rp, cp)
         assert has_support(p) == has_support(q)
         assert has_total_support(p) == has_total_support(q)
         assert is_fully_indecomposable(p) == is_fully_indecomposable(q)
@@ -210,12 +255,12 @@ def _assert_oracle_agreement(p):
     assert has_total_support(p) == brute_force_oracle(p, "total_support")
     assert is_fully_indecomposable(p) == brute_force_oracle(p, "fid")
     if m.perfect:
-        assert fid_skeleton(p).on_diagonal == brute_force_oracle(p, "skeleton")
-    elif all(any(row) for row in p.present):
+        assert grid(fid_skeleton(p)) == brute_force_oracle(p, "skeleton")
+    elif all(p.rows):
         res = maximal_zero_submatrix(p)
         perimeter, _, _ = brute_force_oracle(p, "max_zero")
         assert len(res.witness_i) + len(res.witness_j) == perimeter
-        assert all(not p.present[i][j] for i in res.witness_i for j in res.witness_j)
+        assert all(j not in p.rows[i] for i in res.witness_i for j in res.witness_j)
 
 
 def test_oracle_agreement_random():
@@ -297,8 +342,8 @@ def _square_cases():
         rp, cp = list(range(200)), list(range(200))
         rng.shuffle(rp)
         rng.shuffle(cp)
-        cases.append(blowup.permuted(rp, rp))
-        cases.append(blowup.permuted(rp, cp))
+        cases.append(permuted(blowup, rp, rp))
+        cases.append(permuted(blowup, rp, cp))
     return cases
 
 
@@ -321,8 +366,8 @@ def _kernel_outputs(p):
         "total_support": has_total_support(p),
     }
     if m.perfect:
-        out["skeleton"] = fid_skeleton(p).on_diagonal
-    elif all(any(row) for row in p.present):
+        out["skeleton"] = fid_skeleton(p)
+    elif all(p.rows):
         res = maximal_zero_submatrix(p)
         out["witness"] = (res.witness_i, res.witness_j, res.kappa)
     return out
@@ -331,7 +376,7 @@ def _kernel_outputs(p):
 def _assert_maximum_matching(p, row_match, size):
     cols = [j for j in row_match if j is not None]
     assert len(cols) == len(set(cols)) == size
-    assert all(j is None or p.present[i][j] for i, j in enumerate(row_match))
+    assert all(j is None or j in p.rows[i] for i, j in enumerate(row_match))
 
 
 def test_kernel_agrees_with_reference_kernel(monkeypatch):

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 from fractions import Fraction as F
 
 import numpy as np
@@ -11,6 +12,7 @@ from specdens.dyson import DensityCurve, empirical_exponents
 from specdens.errors import NegativeEntryError, NotSymmetricError
 from specdens.minmax import analyze
 from specdens.montecarlo import EnsembleConfig, run_sweep
+from specdens.normal_form import VarianceProfile, pattern_of
 from specdens.report import (
     canonical_json,
     classification_document,
@@ -256,8 +258,17 @@ def test_document_golden_bytes(name):
 
 
 def test_document_long_tridiagonal():
-    # augmenting paths as long as the profile: no recursion limit applies
-    doc = classification_document(tridiagonal(1500))
+    # augmenting paths as long as the profile: no recursion limit applies;
+    # a pattern is its row lists, O(K + nnz) memory and no K x K grid
+    profile = VarianceProfile(tridiagonal(3000))
+    tracemalloc.start()
+    try:
+        pattern_of(profile)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
+    doc = classification_document(profile)
     assert doc["support_class"] == "TotalSupport"
     assert doc["sigma"] == "0/1"
 
