@@ -776,19 +776,20 @@ def rescaled_profile(s) -> RescaledData:
         if h[b] != h[partner[b]]:
             raise SelfCheckError(f"rates differ across the pair ({b}, {partner[b]})")
 
-    permuted = nf.permuted_profile
-    k = permuted.shape[0]
+    entries, perm = an.profile.entries, np.array(nf.perm)
+    k = perm.size
     s0 = np.zeros((k, k))
     s1 = np.zeros((k, k))
     for b in range(n):
         rows = nf.block_indices(b)
         cols = nf.block_indices(partner[b])
-        s0[np.ix_(rows, cols)] = permuted[np.ix_(rows, cols)]
+        s0[np.ix_(rows, cols)] = entries[np.ix_(perm[rows], perm[cols])]
         for j in succ_sets[b]:
             jcols = nf.block_indices(partner[j])
-            s1[np.ix_(rows, jcols)] = permuted[np.ix_(rows, jcols)]
+            s1[np.ix_(rows, jcols)] = entries[np.ix_(perm[rows], perm[jcols])]
 
-    if ZeroPattern.from_matrix(s0) != fid_skeleton(pattern_of(permuted)):
+    pos = perm.argsort()
+    if ZeroPattern.from_matrix(s0[np.ix_(pos, pos)]) != fid_skeleton(pattern_of(an)):
         raise SelfCheckError(
             "pair blocks do not match the positive-diagonal entries"
         )

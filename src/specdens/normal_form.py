@@ -10,7 +10,7 @@ bands. Writing n = L + 2M for the number of blocks:
 - band 2 (blocks M..M+L-1) holds L fully indecomposable principal blocks,
   mutually disconnected;
 - the (2,3), (3,2) and (3,3) bands vanish, and the (1,3)/(3,1) bands vanish
-  strictly below the block anti-diagonal.
+  strictly below the block anti-diagonal: no block couples past its partner.
 
 The boolean block mask of the permuted profile induces a strict relation on
 blocks, i < j whenever block i is coupled to the partner of block j; this
@@ -39,9 +39,9 @@ from .errors import (
 from .patterns import (
     ZeroPattern,
     _fine_classes,
+    alternating_reach,
     augmenting_matching,
-    is_fully_indecomposable,
-    max_bipartite_matching,
+    has_support,
     maximal_zero_submatrix,
 )
 
@@ -111,8 +111,8 @@ class NormalForm:
     """Result of the symmetric block normal form.
 
     perm : tuple of int
-        Symmetric permutation, new position -> original index, so
-        ``permuted_profile == S[perm][:, perm]``.
+        Symmetric permutation, new position -> original index: the profile
+        in block order is ``S[perm][:, perm]``.
     dims : tuple of int
         Block dimensions in block order (len L + 2M).
     L, M : int
@@ -120,8 +120,6 @@ class NormalForm:
     mask : ndarray of bool, shape (L+2M, L+2M)
         Block coupling mask of the permuted profile: mask[i, j] is True iff
         the (i, j) block contains a non-zero entry.
-    permuted_profile : ndarray
-        The profile conjugated into block order.
     """
 
     perm: tuple[int, ...]
@@ -129,7 +127,6 @@ class NormalForm:
     L: int
     M: int
     mask: np.ndarray
-    permuted_profile: np.ndarray
 
     @property
     def n_blocks(self) -> int:
@@ -166,7 +163,6 @@ class NoSupportForm:
     witness_i: tuple[int, ...]
     witness_j: tuple[int, ...]
     kappa: Fraction
-    permuted_profile: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -197,12 +193,21 @@ class ChainResult:
 # --- symmetric normal form ------------------------------------------------------
 
 
-def _block_mask(present: np.ndarray, dims) -> np.ndarray:
-    """mask[i, j] is True iff block (i, j) of the boolean matrix holds a True
-    entry; ``dims`` are the block dimensions, each at least 1."""
-    starts = np.cumsum((0, *dims))[:-1]
-    return np.logical_or.reduceat(
-        np.logical_or.reduceat(present, starts, axis=0), starts, axis=1
+def _block_mask(p: ZeroPattern, perm, dims) -> np.ndarray:
+    """mask[a, b]: block (a, b) of the pattern conjugated by perm is non-empty."""
+    block = np.repeat(np.arange(len(dims)), dims)[np.argsort(perm)]
+    mask = np.zeros((len(dims), len(dims)), dtype=bool)
+    cols = np.array([j for row in p.rows for j in row], dtype=np.intp)
+    mask[np.repeat(block, list(map(len, p.rows))), block[cols]] = True
+    return mask
+
+
+def _block_rows(p: ZeroPattern, perm, pos, rows: range, cols: range):
+    """Row lists, in local ascending columns, of block (rows, cols) of the
+    pattern conjugated by ``perm``, whose inverse is ``pos``."""
+    return tuple(
+        tuple(sorted(pos[j] - cols.start for j in p.rows[perm[r]] if pos[j] in cols))
+        for r in rows
     )
 
 
@@ -227,8 +232,9 @@ def symmetric_normal_form(s) -> NormalForm:
     (not reachable for valid symmetric profiles).
     """
     profile = as_profile(s)
+    pat = pattern_of(profile)
     # NoSupportError when there is no support
-    col_match, comp = _fine_classes(pattern_of(profile))
+    col_match, comp = _fine_classes(pat)
     present = profile.entries != 0
 
     # rows[c]: the class c; cols[c]: its columns sigma(c), the row set of
@@ -288,59 +294,49 @@ def symmetric_normal_form(s) -> NormalForm:
 
     perm = tuple(i for block in block_sets for i in block)
     dims = tuple(len(block) for block in block_sets)
-    permuted = profile.entries[np.ix_(perm, perm)]
-    mask = _block_mask(permuted != 0, dims)
-    nf = NormalForm(perm, dims, l_mid, m_pairs, mask, permuted)
-    verify_normal_form(profile, nf)
+    nf = NormalForm(perm, dims, l_mid, m_pairs, _block_mask(pat, perm, dims))
+    _verify_normal_form(pat, nf)
     return nf
 
 
 def verify_normal_form(s, nf: NormalForm) -> None:
-    """Audit every structural invariant of a claimed normal form; raises
-    StructureViolationError on the first failure."""
-    profile = as_profile(s)
-    k = profile.k
-    n, m, l_mid = nf.n_blocks, nf.M, nf.L
+    """Audit a claimed normal form against the profile's zero pattern;
+    raises StructureViolationError on the first failure.  One matching
+    certifies every anti-diagonal block (i, partner(i)) fully
+    indecomposable: a perfect matching of those blocks' entries takes the
+    rows of block i into block partner(i), and the block's digraph under it
+    is strongly connected."""
+    _verify_normal_form(pattern_of(s), nf)
+
+
+def _verify_normal_form(pat: ZeroPattern, nf: NormalForm) -> None:
+    n = nf.n_blocks
+    partner = np.array([nf.partner(i) for i in range(n)], dtype=np.intp)
 
     def fail(msg: str):
         raise StructureViolationError(f"normal form invariant violated: {msg}")
 
-    if sorted(nf.perm) != list(range(k)):
+    if sorted(nf.perm) != list(range(pat.k)):
         fail("perm is not a permutation")
-    if sum(nf.dims) != k or len(nf.dims) != n or any(d < 1 for d in nf.dims):
+    if sum(nf.dims) != pat.k or len(nf.dims) != n or any(d < 1 for d in nf.dims):
         fail("block dimensions do not tile the matrix")
-    if not np.array_equal(nf.permuted_profile, profile.entries[np.ix_(nf.perm, nf.perm)]):
-        fail("permuted profile does not match the permutation")
 
-    mask = _block_mask(nf.permuted_profile != 0, nf.dims)
+    mask = _block_mask(pat, nf.perm, nf.dims)
     if not np.array_equal(mask, nf.mask):
         fail("mask does not match the permuted profile")
-    if not np.array_equal(mask, mask.T):
-        fail("mask is not symmetric")
+    if (mask & (np.arange(n) > partner[:, None])).any():
+        fail("a block is coupled past its partner, against the bands")
 
-    for j in range(m):
-        if nf.dims[j] != nf.dims[n - 1 - j]:
-            fail("paired blocks have different dimensions")
-    for i in range(n):
-        if not mask[i, nf.partner(i)]:
-            fail("a block is not coupled to its partner")
-
-    # the mask is symmetric, so checking one side of each band pair suffices
-    mid, last = range(m, m + l_mid), range(m + l_mid, n)
-    if any(mask[i, j] for i in mid for j in mid if i != j):
-        fail("middle blocks are coupled to each other")
-    if any(mask[i, j] for i in mid for j in last):
-        fail("middle band couples to the last band")
-    if any(mask[i, j] for i in last for j in last):
-        fail("last band has an internal coupling")
-    if any(mask[i, j] for i in range(m) for j in last if i + j > n - 1):
-        fail("coupling strictly below the block anti-diagonal")
-
-    for i in range(n):
-        rows, cols = nf.block_indices(i), nf.block_indices(nf.partner(i))
-        block = nf.permuted_profile[rows.start:rows.stop, cols.start:cols.stop]
-        if not is_fully_indecomposable(ZeroPattern.from_matrix(block)):
-            fail("an anti-diagonal block is not fully indecomposable")
+    # the entries of the blocks (i, partner(i)): every block is fully
+    # indecomposable iff they have a perfect matching and n fine classes
+    block = np.repeat(np.arange(n), nf.dims)[np.argsort(nf.perm)].tolist()
+    blocks = ZeroPattern(pat.k, tuple(
+        tuple(j for j in cols if block[j] == b)
+        for cols, b in zip(pat.rows, partner[block].tolist())
+    ))
+    col_match = augmenting_matching(blocks.rows, pat.k)
+    if None in col_match or max(_fine_classes(blocks, col_match)[1]) != n - 1:
+        fail("an anti-diagonal block is not fully indecomposable")
 
 
 # --- no-support splitting ---------------------------------------------------------
@@ -359,9 +355,8 @@ def no_support_normal_form(s) -> NoSupportForm:
     Raises ZeroRowError when a row vanishes identically and
     HasSupportError when the profile has a positive diagonal.
     """
-    profile = as_profile(s)
-    k = profile.k
-    pat = pattern_of(profile)
+    pat = pattern_of(s)
+    k = pat.k
     cls = maximal_zero_submatrix(pat)  # ZeroRowError propagates
     if cls.tag != "NoSupport":
         raise HasSupportError("profile has a positive diagonal")
@@ -371,40 +366,37 @@ def no_support_normal_form(s) -> NoSupportForm:
     # nested pair (I & J, I | J) is one of them as well; hence I lies in J,
     # and no nested pair of maximal perimeter has a larger column side.
     set_i, set_j = set(cls.witness_i), set(cls.witness_j)
-    if not set_i <= set_j:
-        raise StructureViolationError("zero-corner witness is not nested")
     block1 = [i for i in range(k) if i not in set_j]
     block2 = [i for i in cls.witness_j if i not in set_i]
     perm = tuple(block1 + block2 + list(cls.witness_i))
-    permuted = profile.entries[np.ix_(perm, perm)]
     sizes = (len(block1), len(block2), len(cls.witness_i))
-    form = NoSupportForm(
-        perm, sizes, cls.witness_i, cls.witness_j, cls.kappa, permuted
-    )
-    _verify_no_support_form(profile, form)
+    form = NoSupportForm(perm, sizes, cls.witness_i, cls.witness_j, cls.kappa)
+    _verify_no_support_form(pat, form)
     return form
 
 
-def _strong_hall(present: np.ndarray) -> bool:
-    """True iff every non-empty row set X of the given rectangular 0/1 matrix
-    touches at least |X| + 1 columns. Polynomial test: no zero row, all rows
-    matchable, and all rows still matchable after deleting any one column."""
-    rows, cols = present.shape
-    if rows == 0:
-        return True
-    if not present.any(axis=1).all():
-        return False
-    adj = [np.flatnonzero(present[r]).tolist() for r in range(rows)]
-    return all(
-        cols - augmenting_matching(
-            [[c for c in a if c != drop] for a in adj], cols
-        ).count(None) == rows
-        for drop in (None, *range(cols))
-    )
+def _strong_hall(adj, n_cols: int) -> bool:
+    """True iff every non-empty set X of rows, ``adj[r]`` listing the columns
+    of row r among ``n_cols``, touches at least |X| + 1 columns: iff a
+    maximum matching covers every row, and one reach from the free columns
+    over the transposed lists finds every row."""
+    col_match = augmenting_matching(adj, n_cols)
+    row_match = [None] * len(adj)
+    for c, r in enumerate(col_match):
+        if r is not None:
+            row_match[r] = c
+    transposed: list[list[int]] = [[] for _ in range(n_cols)]
+    for r, cols in enumerate(adj):
+        for c in cols:
+            transposed[c].append(r)
+    free = [c for c, r in enumerate(col_match) if r is None]
+    reached = alternating_reach(transposed, row_match, free)[1]
+    return None not in row_match and all(reached)
 
 
-def _verify_no_support_form(profile: VarianceProfile, form: NoSupportForm) -> None:
-    k = profile.k
+def _verify_no_support_form(p: ZeroPattern, form: NoSupportForm) -> None:
+    """Audit a splitting against the profile's pattern ``p``."""
+    k = p.k
     n1, n2, n3 = form.sizes
 
     def fail(msg: str):
@@ -414,14 +406,15 @@ def _verify_no_support_form(profile: VarianceProfile, form: NoSupportForm) -> No
         fail("perm is not a permutation")
     if n1 + n2 + n3 != k or n1 < 1 or n3 < 1:
         fail("block sizes are inconsistent")
-    present = form.permuted_profile != 0
-    if present[n1 + n2:, n1:].any() or present[n1:, n1 + n2:].any():
+    perm, pos = form.perm, np.argsort(form.perm).tolist()
+    # the pattern is symmetric: the last rows against the middle and last
+    # columns are the whole zero corner and its transpose
+    if any(pos[j] >= n1 for i in perm[n1 + n2:] for j in p.rows[i]):
         fail("zero corner is not zero")
-    if n2:
-        mid = ZeroPattern.from_matrix(form.permuted_profile[n1:n1 + n2, n1:n1 + n2])
-        if not max_bipartite_matching(mid).perfect:
-            fail("middle block has no positive diagonal")
-    if not _strong_hall(present[:n1, n1 + n2:]):
+    mid = range(n1, n1 + n2)
+    if n2 and not has_support(ZeroPattern(n2, _block_rows(p, perm, pos, mid, mid))):
+        fail("middle block has no positive diagonal")
+    if not _strong_hall(_block_rows(p, perm, pos, range(n1), range(n1 + n2, k)), n3):
         fail("first-block rows do not spread over the zero-corner columns")
     if form.kappa != Fraction(n3 + (n2 + n3) - k, k) or not 0 < form.kappa <= 1:
         fail("kappa does not match the block sizes")

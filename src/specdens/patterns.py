@@ -133,7 +133,8 @@ def augmenting_matching(
     again), and otherwise descends through its columns in list order.  The
     search keeps an explicit stack, so the length of an augmenting path is
     not bounded by the interpreter's recursion limit, and the result is a
-    pure function of ``adj``."""
+    pure function of ``adj``.  No augmenting path can enter a column that a
+    failed search visited, so searches skip those until the next success."""
     col_match: list[Optional[int]] = [None] * n_cols
     # ahead[r]: position in adj[r] before which every column is matched
     ahead = [0] * len(adj)
@@ -147,7 +148,8 @@ def augmenting_matching(
         else:
             ahead[r] = len(cols)
             unmatched.append(r)
-    visited = [-1] * n_cols  # the root whose search last visited the column
+    visited = [-1] * n_cols  # the stamp of the search that last visited it
+    stamp = 0
     for root in unmatched:
         # stack of (row, position of its next column to descend through);
         # path[d] is the column through which stack[d + 1] was entered
@@ -165,8 +167,9 @@ def augmenting_matching(
                 path.append(cols[la])
                 for (row, _), col in zip(stack, path):
                     col_match[col] = row
+                stamp += 1
                 break
-            while pos < len(cols) and visited[cols[pos]] == root:
+            while pos < len(cols) and visited[cols[pos]] == stamp:
                 pos += 1
             if pos == len(cols):
                 stack.pop()
@@ -174,7 +177,7 @@ def augmenting_matching(
                     path.pop()
                 continue
             c = cols[pos]
-            visited[c] = root
+            visited[c] = stamp
             stack[-1] = (r, pos + 1)
             path.append(c)
             stack.append((col_match[c], 0))

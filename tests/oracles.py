@@ -3,7 +3,8 @@ library against.
 
 ``brute_force_oracle`` re-derives each zero-pattern classification of
 :mod:`specdens.patterns` by enumerating permutations and submatrices
-(K <= 8); ``grid`` spells a pattern out as its K x K boolean grid.
+(K <= 8); ``grid`` spells a pattern out as its K x K boolean grid, and
+``rows_spread`` tests the strong Hall condition by enumerating row sets.
 ``fixed_point_oracle`` solves a min-max averaging problem of
 :mod:`specdens.minmax` by Gauss-Seidel sweeps, independently of the exact
 constructive solver, and ``stability_check`` measures how far a perturbed
@@ -130,6 +131,17 @@ def _oracle_max_zero(p: ZeroPattern):
             if free and p_rows + len(free) > best[0]:
                 best = (p_rows + len(free), rows, tuple(free))
     return best
+
+
+def rows_spread(adj) -> bool:
+    """Exhaustive reference for row spreading (the strong Hall condition):
+    every non-empty set X of rows, ``adj[r]`` listing the columns of row r,
+    touches at least |X| + 1 columns."""
+    return all(
+        len(set().union(*(adj[r] for r in rows))) > size
+        for size in range(1, len(adj) + 1)
+        for rows in combinations(range(len(adj)), size)
+    )
 
 
 # --- min-max averaging problems ---------------------------------------------------

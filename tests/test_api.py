@@ -47,6 +47,11 @@ def test_removed_names_are_absent():
         assert not hasattr(pattern, name)
     assert isinstance(specdens.fid_skeleton(pattern), specdens.ZeroPattern)
     assert not hasattr(specdens.VarianceProfile, "from_rows")
+    # a normal form or a no-support splitting holds no copy of the profile
+    nf = specdens.symmetric_normal_form([[1.0, 1.0], [1.0, 0.0]])
+    form = specdens.no_support_normal_form([[0, 0, 1], [0, 0, 1], [1, 1, 1]])
+    for result in (nf, form):
+        assert not hasattr(result, "permuted_profile")
     for name in ("scaling_section", "weights_section", "residuals_section",
                  "sweep_section"):
         assert not hasattr(specdens, name) and name not in report.__all__

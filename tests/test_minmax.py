@@ -22,11 +22,14 @@ from specdens.minmax import (
     solve_min_max,
     verify_solution,
 )
-from specdens.normal_form import build_relation, pattern_of, symmetric_normal_form
+from specdens.normal_form import (
+    build_relation, no_support_normal_form, pattern_of, symmetric_normal_form,
+)
 from specdens.patterns import maximal_zero_submatrix
 
 from oracles import PreconditionViolatedError, fixed_point_oracle, stability_check
 from test_normal_form import BIG_EXAMPLE, branchy_mask_form
+from test_report import zero_corner
 
 
 def chain_problem(n_interior):
@@ -303,8 +306,8 @@ def _analyze_tag(s):
 @pytest.mark.parametrize(
     "classify, entries, support_class, calls",
     [
-        (_analyze_tag, [[1, 1], [1, 0]], "SupportOnly", 3),
-        (_analyze_tag, BIG_EXAMPLE, "SupportOnly", 8),
+        (_analyze_tag, [[1, 1], [1, 0]], "SupportOnly", 2),
+        (_analyze_tag, BIG_EXAMPLE, "SupportOnly", 2),
         (_analyze_tag, [[0, 0, 1], [0, 0, 1], [1, 1, 1]], "NoSupport", 1),
         (_max_zero_tag, [[1, 1], [1, 0]], "SupportOnly", 1),
     ],
@@ -313,7 +316,15 @@ def _analyze_tag(s):
 def test_analyze_matching_calls(monkeypatch, classify, entries, support_class,
                                 calls):
     # one matching gives the support test, the skeleton and the sides; the
-    # audit matches each anti-diagonal block once more, independently
+    # audit checks every anti-diagonal block against one more matching
+    count = _count_matchings(monkeypatch)
+    assert classify(np.array(entries, dtype=float)) == support_class
+    assert count[0] == calls
+
+
+def _count_matchings(monkeypatch) -> list[int]:
+    """Count every ``augmenting_matching`` call of the package in the
+    returned one-element list."""
     original = specdens.patterns.augmenting_matching
     count = [0]
 
@@ -325,8 +336,20 @@ def test_analyze_matching_calls(monkeypatch, classify, entries, support_class,
         if (getattr(module, "__name__", "").startswith("specdens")
                 and getattr(module, "augmenting_matching", None) is original):
             monkeypatch.setattr(module, "augmenting_matching", counted)
-    assert classify(np.array(entries, dtype=float)) == support_class
-    assert count[0] == calls
+    return count
+
+
+def test_no_support_matching_calls_do_not_grow(monkeypatch):
+    # the audit of the splitting checks its witness with a fixed number of
+    # matchings, not one per column
+    count = _count_matchings(monkeypatch)
+    calls = []
+    for k in (20, 200):
+        count[0] = 0
+        form = no_support_normal_form(zero_corner(k, 3 * k // 5))
+        assert form.kappa == F(k // 5, k)
+        calls.append(count[0])
+    assert calls[0] == calls[1]
 
 
 @pytest.mark.parametrize(

@@ -1,11 +1,13 @@
 """Tests for the symmetric block normal form and the block relation."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from specdens import normal_form
 from specdens.dyson import density_profile, solve_imaginary_axis, variational_value
 from specdens.errors import (
     CyclicRelationError,
@@ -20,6 +22,7 @@ from specdens.minmax import analyze
 from specdens.montecarlo import sample_block_hermitian
 from specdens.normal_form import (
     BlockRelation,
+    NoSupportForm,
     NormalForm,
     VarianceProfile,
     build_relation,
@@ -82,7 +85,6 @@ def branchy_mask_form() -> NormalForm:
         L=1,
         M=3,
         mask=BRANCHY_MASK.copy(),
-        permuted_profile=np.zeros((10, 10)),
     )
 
 
@@ -197,14 +199,50 @@ def test_verify_normal_form_catches_tampering():
     nf = symmetric_normal_form(s)
     bad_mask = nf.mask.copy()
     bad_mask[2, 2] = True
-    bad = NormalForm(nf.perm, nf.dims, nf.L, nf.M, bad_mask, nf.permuted_profile)
+    bad = NormalForm(nf.perm, nf.dims, nf.L, nf.M, bad_mask)
     with pytest.raises(StructureViolationError):
         verify_normal_form(s, bad)
     # empty or negative blocks, also when the dimensions sum to K
     for dims in [(2, 0, 0), (2, 1, -1), (3, 0, 0), (2, 2, -1)]:
-        bad = NormalForm(nf.perm, dims, nf.L, nf.M, nf.mask, nf.permuted_profile)
+        bad = NormalForm(nf.perm, dims, nf.L, nf.M, nf.mask)
         with pytest.raises(StructureViolationError, match="tile"):
             verify_normal_form(s, bad)
+    # arrow with its two blocks swapped: the last band couples to itself
+    swapped = NormalForm((1, 0), (1, 1), 0, 1, np.array([[0, 1], [1, 1]], dtype=bool))
+    with pytest.raises(StructureViolationError, match="past its partner"):
+        verify_normal_form([[1, 1], [1, 0]], swapped)
+    # two fully indecomposable blocks merged into one, with a matching mask
+    merged = NormalForm((0, 1), (2,), 1, 0, np.ones((1, 1), dtype=bool))
+    with pytest.raises(StructureViolationError, match="fully indecomposable"):
+        verify_normal_form(np.eye(2), merged)
+    # a pair of unequal blocks whose mask keeps the bands
+    s = np.ones((3, 3))
+    s[2, 2] = 0.0
+    mask = np.array([[1, 1], [1, 0]], dtype=bool)
+    uneven = NormalForm((0, 1, 2), (2, 1), 0, 1, mask)
+    with pytest.raises(StructureViolationError, match="fully indecomposable"):
+        verify_normal_form(s, uneven)
+
+
+def test_verify_no_support_form_catches_tampering():
+    s = [[0, 0, 1], [0, 0, 1], [1, 1, 1]]
+    form = no_support_normal_form(s)
+    assert form.perm == (2, 0, 1)
+    # a zero corner holding the non-zero entry (1, 2)
+    bad = replace(form, perm=(0, 1, 2), witness_i=(1, 2), witness_j=(1, 2))
+    with pytest.raises(StructureViolationError, match="zero corner"):
+        normal_form._verify_no_support_form(pattern_of(s), bad)
+    # a zero corner of maximal perimeter whose first-block rows do not
+    # spread: row 0 touches one of the three corner columns
+    s = np.zeros((5, 5))
+    for i, j in [(0, 0), (0, 2), (1, 1), (1, 3), (1, 4)]:
+        s[i, j] = s[j, i] = 1.0
+    assert maximal_zero_submatrix(pattern_of(s)).kappa == Fraction(1, 5)
+    bad = NoSupportForm(
+        tuple(range(5)), (2, 0, 3), (2, 3, 4), (2, 3, 4), Fraction(1, 5)
+    )
+    with pytest.raises(StructureViolationError, match="spread"):
+        normal_form._verify_no_support_form(pattern_of(s), bad)
 
 
 # --- the sides against their predecessor ----------------------------------------------

@@ -19,7 +19,7 @@ from specdens.patterns import (
     maximal_zero_submatrix,
 )
 
-from oracles import TooLargeError, brute_force_oracle, grid
+from oracles import TooLargeError, brute_force_oracle, grid, rows_spread
 from test_normal_form import BIG_EXAMPLE
 
 
@@ -357,6 +357,11 @@ def _rectangular_cases():
     return cases
 
 
+def _row_lists(rect):
+    """``_strong_hall`` arguments of a boolean rows x cols matrix."""
+    return [np.flatnonzero(row).tolist() for row in rect], rect.shape[1]
+
+
 def _kernel_outputs(p):
     """Everything the package derives from a maximum matching of p."""
     m = max_bipartite_matching(p)
@@ -383,7 +388,7 @@ def test_kernel_agrees_with_reference_kernel(monkeypatch):
     squares, rects = _square_cases(), _rectangular_cases()
     new = [_kernel_outputs(p) for p in squares]
     new_matches = [max_bipartite_matching(p).row_match for p in squares]
-    new_hall = [_strong_hall(r) for r in rects]
+    new_hall = [_strong_hall(*_row_lists(r)) for r in rects]
     monkeypatch.setattr(patterns, "augmenting_matching", _reference_matching)
     monkeypatch.setattr(normal_form, "augmenting_matching", _reference_matching)
     ref = [_kernel_outputs(p) for p in squares]
@@ -391,8 +396,24 @@ def test_kernel_agrees_with_reference_kernel(monkeypatch):
     for p, row_match, out, expected in zip(squares, new_matches, new, ref):
         _assert_maximum_matching(p, row_match, expected["size"])
         assert out == expected
-    assert [_strong_hall(r) for r in rects] == new_hall
+    assert [_strong_hall(*_row_lists(r)) for r in rects] == new_hall
     # the two kernels often pick different maximum matchings, and nothing
     # derived from the matching notices
     assert sum(a != b for a, b in zip(new_matches, ref_matches)) > 100
     assert 0 < sum(new_hall) < len(new_hall)
+
+
+def test_strong_hall_matches_subset_enumeration():
+    # every 0/1 rectangle with at most 3 rows and 4 columns, empty shapes too
+    seen = {True: 0, False: 0}
+    for rows in range(4):
+        for cols in range(5):
+            for bits in range(1 << (rows * cols)):
+                adj = [
+                    [c for c in range(cols) if bits >> (r * cols + c) & 1]
+                    for r in range(rows)
+                ]
+                expected = rows_spread(adj)
+                assert _strong_hall(adj, cols) == expected, (adj, cols)
+                seen[expected] += 1
+    assert seen[True] > 1000 and seen[False] > 1000

@@ -273,6 +273,19 @@ def test_document_long_tridiagonal():
     assert doc["sigma"] == "0/1"
 
 
+def test_document_holds_no_copy_of_the_profile():
+    # the normal form and its audit read the pattern, never a permuted
+    # K x K copy of the profile
+    profile = VarianceProfile(tridiagonal(1500))
+    tracemalloc.start()
+    try:
+        classification_document(profile)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < profile.entries.nbytes / 2
+
+
 # --- CSV --------------------------------------------------------------------------
 
 
