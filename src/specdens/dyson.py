@@ -294,16 +294,33 @@ class _Budget:
 # silences numpy's floating-point warnings, as np.linalg.solve does around
 # the gufunc: a non-finite value is caught by the kernel itself (a Newton
 # step must be finite, a residual must compare <= tol).
+#
+# Each iteration runs as few numpy calls as the arithmetic allows, since on
+# small K their dispatch is the whole cost.  The residual of an iterate
+# also returns u = z + S x and x * u, which the next Newton or damped step
+# reuses: one matvec and one product per iterate.  The plane solvers cast
+# the real profile to complex once per call, where matmul and the Jacobian
+# would cast it on every use (the same C-ordered copy the casts make, so
+# the same bits).  Norms and sign tests call the reducing ufuncs directly.
 
 
-def _residual(a, z, c: float, x: np.ndarray) -> tuple[float, np.ndarray]:
-    """Max-norm of x * (z + S x) - c, and u = z + S x for the next step."""
+def _residual(a, z, c: float, x: np.ndarray):
+    """Max-norm of x * (z + S x) - c, with u = z + S x and x * u, which
+    the next step reuses.  A NaN entry makes the norm NaN."""
     u = z + a @ x
-    return float(np.abs(x * u - c).max()), u
+    xu = x * u
+    return float(np.maximum.reduce(np.abs(xu - c))), u, xu
 
 
-def _newton_step(a, z, c, x, u):
-    """One Newton step in multiplicative coordinates, from x with u = z + S x.
+def _feasible(c, x):
+    """x lies in the solution domain: v > 0 on the axis (c > 0), Im m > 0
+    in the plane; false when an entry is NaN."""
+    return np.minimum.reduce(x if c > 0 else x.imag) > 0
+
+
+def _newton_step(a, z, c, x, u, xu):
+    """One Newton step in multiplicative coordinates, from x with u = z + S x
+    and xu = x * u.
 
     Solves (diag(x*u) + diag(x) S diag(x)) y = -(x*u - c) and
     updates x <- x * (1 + t y), halving t only until the trial stays
@@ -314,21 +331,29 @@ def _newton_step(a, z, c, x, u):
     pair-scaling direction and the residual rises sharply for one step
     before quadratic contraction sets in; a monotone line search would
     crawl.  Divergence is contained by the caller's watchdog.  Returns
-    (x, res, u) of the first trial in the solution domain (v > 0 on the
-    axis, Im m > 0 in the plane), or None, also when the Jacobian is
+    (x, res, u, xu) of the first trial in the solution domain (v > 0 on
+    the axis, Im m > 0 in the plane), or None, also when the Jacobian is
     singular: the LAPACK gufunc behind ``np.linalg.solve`` then returns
-    NaN where the wrapper would raise (the caller silences the flag)."""
-    xu = x * u
-    jac = np.diag(xu) + (x[:, None] * a) * x[None, :]
-    y = _solve(jac, -(xu - c))
-    if not np.isfinite(y).all():
+    NaN where the wrapper would raise (the caller silences the flag).
+
+    diag(x*u) is added in place to the diagonal, every (K+1)-th entry of
+    the product in memory order (C or F, as the profile is stored).
+    Unlike the sum with diag(x*u) this leaves the sign of an off-diagonal
+    zero, and ``c - xu`` may differ from ``-(xu - c)`` in the sign of a
+    zero; the solve turns either into zeros that 1 + t y absorbs.  The
+    product (x a) x stays out of place: in place, numpy's complex multiply
+    can take a loop that rounds differently when K = 1."""
+    jac = (x[:, None] * a) * x[None, :]
+    jac.ravel("K")[:: x.size + 1] += xu
+    y = _solve(jac, c - xu)
+    if not np.logical_and.reduce(np.isfinite(y)):
         return None
-    t = 1.0
+    trial, t = x * (1.0 + y), 1.0
     for _ in range(60):
-        trial = x * (1.0 + t * y)
-        if ((trial > 0) if c > 0 else (trial.imag > 0)).all():
+        if _feasible(c, trial):
             return (trial, *_residual(a, z, c, trial))
         t *= 0.5
+        trial = x * (1.0 + t * y)
     return None
 
 
@@ -337,15 +362,15 @@ def _damped_step(a, z, c, x, u, res, theta):
     u = z + S x, halving theta until the residual does not increase.  The
     candidate is feasible whenever x is, so the convex combination stays
     feasible for every theta in (0, 1] in exact arithmetic.  Returns
-    (x, res, u, theta); theta is re-expanded slowly on success."""
+    (x, res, u, xu, theta); theta is re-expanded slowly on success."""
     cand = c / u
     while True:
         trial = (1.0 - theta) * x + theta * cand
-        r, u = _residual(a, z, c, trial)
+        r, u, xu = _residual(a, z, c, trial)
         if r <= res or theta <= 1e-8:
             break
         theta *= 0.5
-    return trial, r, u, min(1.0, theta * 1.25)
+    return trial, r, u, xu, min(1.0, theta * 1.25)
 
 
 _WATCHDOG = 20
@@ -362,9 +387,9 @@ def _stage(a, z, c, x, tol, budget: _Budget, give_up: bool = False):
     ``give_up`` the stage raises NonConvergenceError instead, when the
     watchdog fires."""
     point = "eta" if c > 0 else "z"
-    res, u = _residual(a, z, c, x)
+    res, u, xu = _residual(a, z, c, x)
     theta = 1.0
-    best_x, best_res, best_u = x, res, u
+    best_x, best_res, best_u, best_xu = x, res, u, xu
     stale = 0
     while not res <= tol:  # a NaN residual is no convergence
         if budget.exhausted:
@@ -375,20 +400,20 @@ def _stage(a, z, c, x, tol, budget: _Budget, give_up: bool = False):
             )
         stepped = None
         if stale < _WATCHDOG:
-            stepped = _newton_step(a, z, c, x, u)
+            stepped = _newton_step(a, z, c, x, u, xu)
         if stepped is None:
-            x, res, u, theta = _damped_step(a, z, c, x, u, res, theta)
+            x, res, u, xu, theta = _damped_step(a, z, c, x, u, res, theta)
             # feasible in exact arithmetic; only the plane solver reports an
             # Im m that rounding pushed onto zero (a Newton trial is checked)
-            if c < 0 and not (x.imag > 0).all():
+            if c < 0 and not _feasible(c, x):
                 raise ImaginarySignLostError(
                     f"iterate left the upper half-plane at z={z:g}"
                 )
         else:
-            x, res, u = stepped
+            x, res, u, xu = stepped
         budget.spend()
         if res < best_res * 0.9:
-            best_x, best_res, best_u, stale = x, res, u, 0
+            best_x, best_res, best_u, best_xu, stale = x, res, u, xu, 0
         else:
             stale += 1
             if stale == _WATCHDOG:
@@ -398,7 +423,7 @@ def _stage(a, z, c, x, tol, budget: _Budget, give_up: bool = False):
                         f"{tol:g} after {budget.used} iterations",
                         residual=best_res,
                     )
-                x, res, u = best_x, best_res, best_u
+                x, res, u, xu = best_x, best_res, best_u, best_xu
     return x
 
 
@@ -562,8 +587,15 @@ def _plane_point(z) -> complex:
     return z
 
 
+def _complex_profile(r: np.ndarray) -> np.ndarray:
+    """``r`` as the C-ordered complex matrix that matmul and the Jacobian
+    product would cast it to on every call."""
+    return np.ascontiguousarray(r, dtype=complex)
+
+
 def _plane(r, z, tol, y=None, max_iter=100_000):
     """Plane solve on the merged profile ``r``; see :func:`_axis`."""
+    r = _complex_profile(r)
     budget = _Budget(max_iter)
     if y is None:
         ims = _continuation_path(z.imag)
@@ -607,11 +639,16 @@ def density_profile(
     taus = np.asarray(tau_grid, dtype=float)
     if taus.ndim != 1 or taus.size == 0:
         raise ValueError("tau_grid must be a non-empty 1-D array")
+    # every tau + i epsilon lies in the open upper half-plane (see
+    # _plane_point), checked before the first solve
+    if not (math.isfinite(epsilon) and np.isfinite(taus).all()):
+        raise ValueError("z must lie in the open upper half-plane")
+    r = _complex_profile(r)
     rho = np.empty_like(taus)
     k, merged = cls.size, r.shape[0] < cls.size
     y = None
     for j, tau in enumerate(taus):
-        z = _plane_point(complex(tau, epsilon))
+        z = complex(tau, epsilon)
         if y is not None:
             try:
                 y = _stage(r, z, -1.0, y, tol, _Budget(max_iter), give_up=True)

@@ -24,6 +24,8 @@ Hermitian and scaled in place, and its eigenvalues are computed in its own
 buffer by the ``zheevd`` that ``np.linalg.eigvalsh`` calls on a copy, read
 from numpy's bundled OpenBLAS (``eigvalsh`` itself is the fallback when
 the library does not export it).  The results are the same bit for bit.
+A sweep draws its samples into at most one buffer per worker, mapped for
+the largest dimension and reused by every trial.
 """
 
 from __future__ import annotations
@@ -31,10 +33,12 @@ from __future__ import annotations
 import ctypes
 import functools
 import math
+import mmap
 import os
+import queue
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -114,9 +118,10 @@ def _block_scale(profile, n: int) -> np.ndarray:
 _TILE = 128
 
 
-def _sample(scale: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
+def _sample(scale: np.ndarray, n: int, rng: np.random.Generator, out=None) -> np.ndarray:
     """One Hermitian sample of dimension ``N = n K`` whose ``n x n`` block
-    ``(I, J)`` has entry standard deviation ``scale[I, J]``.
+    ``(I, J)`` has entry standard deviation ``scale[I, J]``, drawn into
+    ``out`` (a C-contiguous complex ``N x N`` array) when given.
 
     Rounds exactly like ``mask * ((a + a^H) / sqrt 2)`` with
     ``a = (x + iy) / sqrt 2``, ``x`` and ``y`` drawn in that order and
@@ -143,7 +148,7 @@ def _sample(scale: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
     bit."""
     k = scale.shape[0]
     dim = n * k
-    a = np.empty((dim, dim), dtype=complex)
+    a = np.empty((dim, dim), dtype=complex) if out is None else out
     buf = np.empty((min(_TILE, dim), dim))
     for part in (a.real, a.imag):
         for i in range(0, dim, _TILE):
@@ -356,12 +361,25 @@ def _usable_cores() -> int:
     return os.cpu_count() or 1
 
 
-def _trial(scale: np.ndarray, n: int, seed: int, size_index: int, trial: int):
+def _mapping(nbytes: int) -> mmap.mmap:
+    """Private anonymous memory, unmapped when dropped.  It asks for
+    transparent huge pages where the system has them, as numpy does for
+    its own arrays of 4 MB or more; without them a sweep ran 4% slower."""
+    private = {"flags": mmap.MAP_PRIVATE} if hasattr(mmap, "MAP_PRIVATE") else {}
+    buf = mmap.mmap(-1, nbytes, **private)
+    if hasattr(mmap, "MADV_HUGEPAGE"):
+        with suppress(OSError):
+            buf.madvise(mmap.MADV_HUGEPAGE)
+    return buf
+
+
+def _trial(scale: np.ndarray, n: int, seed: int, size_index: int, trial: int, out=None):
     """Smallest singular value and condition number (infinite when the
-    sample is exactly singular) of one sweep trial; the sample is reduced
-    in place, so the trial holds one complex matrix."""
+    sample is exactly singular) of one sweep trial; the sample, drawn into
+    ``out`` when given (see :func:`_sample`), is reduced in place, so the
+    trial holds one complex matrix."""
     rng = _trial_rng(seed, size_index, trial)
-    w = np.abs(_checked_eigenvalues(_sample(scale, n, rng), overwrite=True))
+    w = np.abs(_checked_eigenvalues(_sample(scale, n, rng, out), overwrite=True))
     small = float(w.min())
     cond = math.inf if small == 0.0 else float(w.max()) / small
     return small, cond
@@ -399,12 +417,28 @@ def run_sweep(config: EnsembleConfig) -> SweepReport:
 
     smin = np.empty((len(sizes), trials))
     cond = np.empty_like(smin)
+    # Every trial draws its sample into one of these mappings, sized for the
+    # largest dimension.  Freed trial matrices would stay in malloc's arenas
+    # once a larger freed one had raised its dynamic mmap threshold; the
+    # mappings go back to the system when the sweep drops them.
+    buffers = queue.SimpleQueue()
+    for _ in range(min(workers, len(sizes) * trials)):
+        buffers.put(_mapping(16 * max(dims) ** 2))
+
+    def pooled_trial(scale, n, i, t):
+        buf = buffers.get()
+        try:
+            out = np.frombuffer(buf, complex, (n * k) ** 2).reshape(n * k, n * k)
+            return _trial(scale, n, config.master_seed, i, t, out)
+        finally:
+            buffers.put(buf)
+
     # The pool is shut down (every trial finished) before BLAS is restored.
     with _one_blas_thread(control), ThreadPoolExecutor(workers) as pool:
         for i, n in enumerate(sizes):
             scale = _block_scale(profile, n)
             futures = [
-                pool.submit(_trial, scale, n, config.master_seed, i, t)
+                pool.submit(pooled_trial, scale, n, i, t)
                 for t in range(trials)
             ]
             for t, fut in enumerate(futures):

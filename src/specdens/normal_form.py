@@ -407,6 +407,9 @@ def _verify_no_support_form(p: ZeroPattern, form: NoSupportForm) -> None:
     if n1 + n2 + n3 != k or n1 < 1 or n3 < 1:
         fail("block sizes are inconsistent")
     perm, pos = form.perm, np.argsort(form.perm).tolist()
+    witnesses = (set(form.witness_i), set(form.witness_j))
+    if witnesses != (set(perm[n1 + n2:]), set(perm[n1:])):
+        fail("witness sets do not match perm")
     # the pattern is symmetric: the last rows against the middle and last
     # columns are the whole zero corner and its transpose
     if any(pos[j] >= n1 for i in perm[n1 + n2:] for j in p.rows[i]):

@@ -277,6 +277,14 @@ def test_exit_code_invalid_argument(arrow_file, capsys):
     assert "epsilon" in captured.err
 
 
+def test_exit_code_non_finite_epsilon(arrow_file, capsys):
+    assert cli.main(["density", arrow_file, "--epsilon", "inf"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "upper half-plane" in captured.err
+
+
 def test_exit_code_non_finite_eta_bound(arrow_file, capsys):
     assert cli.main(["scaling", arrow_file, "--eta-max", "inf"]) == 2
     captured = capsys.readouterr()

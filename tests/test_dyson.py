@@ -147,7 +147,7 @@ def test_singular_jacobian_is_no_newton_step(monkeypatch):
     def spy(*args):
         seen.append(np.geterr())
         if len(seen) == 1:
-            assert step(a, 0.0, 1.0, x, u) is None
+            assert step(a, 0.0, 1.0, x, u, x * u) is None
         return step(*args)
 
     monkeypatch.setattr(dyson, "_newton_step", spy)
@@ -276,6 +276,19 @@ def test_density_arrow_flattens_after_rescaling():
 def test_density_rejects_bad_epsilon():
     with pytest.raises(NonPositiveInputError):
         density_profile(ONES1, [0.0], epsilon=0.0)
+
+
+@pytest.mark.parametrize(
+    "taus, epsilon", [([0.0, np.inf], 1e-3), ([0.0, np.nan], 1e-3), ([0.0], math.inf)],
+    ids=["tau_inf", "tau_nan", "epsilon_inf"],
+)
+def test_density_rejects_a_non_finite_point_before_solving(monkeypatch, taus, epsilon):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the grid was checked")
+
+    monkeypatch.setattr(dyson, "_stage", no_solve)
+    with pytest.raises(ValueError, match="upper half-plane"):
+        density_profile(ARROW, taus, epsilon=epsilon)
 
 
 # --- merged rows ------------------------------------------------------------------
@@ -466,9 +479,11 @@ _KERNEL_CASES = [
     (_rescaled(BIG_EXAMPLE, 10**2.5, seed=1), 10**2.5, None),
     (_rescaled(BIG_EXAMPLE, 10**-2.5, seed=2), 10**-2.5, None),
     _merged_blowup(BIG_EXAMPLE, 3, seed=3),
+    # all rows equal: the kernel solves a 1 x 1 system
+    _merged_blowup(ONES1 / 10, 3, seed=7),
 ]
 _KERNEL_IDS = ["arrow", "chain3", "big", "random", "big_c1e+2.5", "big_c1e-2.5",
-               "big_blowup3"]
+               "big_blowup3", "ones_blowup3"]
 
 
 @pytest.mark.parametrize("a, c, merged", _KERNEL_CASES, ids=_KERNEL_IDS)
@@ -594,6 +609,20 @@ def test_atom_sweep_solves_bit_identically(a, c, merged):
     ys = _reference_axis_sweep(r, etas, 1e-12)
     estimates = tuple(eta * float(y[cls].mean()) for eta, y in zip(etas, ys))
     assert atom_mass_estimate(a, eta_grid=etas).estimates == estimates
+
+
+def test_fortran_ordered_profile_solves_bit_identically():
+    # the kernel adds to its Jacobian's diagonal through a flat view, which
+    # must not be a copy when the profile is stored column by column
+    a = np.asfortranarray(_random_profile(12))
+    assert dyson._solver_system(a)[1].flags.f_contiguous
+    sol = solve_imaginary_axis(a, 1e-6)
+    assert np.array_equal(sol.v, _reference_solve(a, 1e-6, 1.0, 1e-12)[0])
+    sol = solve_upper_half_plane(a, 0.5 + 1e-3j)
+    assert np.array_equal(sol.m, _reference_solve(a, 0.5 + 1e-3j, -1.0, 1e-10)[0])
+    taus = np.linspace(-2.5, 2.5, 11)
+    rho = _reference_density(a, np.arange(12), taus, 1e-6)
+    assert np.array_equal(density_profile(a, taus, epsilon=1e-6).rho, rho)
 
 
 def test_blowup_density_solves_bit_identically():

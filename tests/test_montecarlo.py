@@ -7,6 +7,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -297,6 +298,25 @@ def test_sweep_without_lapack_symbol_falls_back_bitwise(monkeypatch):
     rep = run_sweep(cfg)
     assert np.array_equal(rep.smin, expected.smin)
     assert rep.mean_cond == expected.mean_cond
+
+
+@pytest.mark.parametrize("workers, mappings", [(1, 1), (2, 2), (8, 6)])
+def test_sweep_reuses_one_mapping_per_worker(monkeypatch, workers, mappings):
+    # at most one buffer per worker, and never more than there are trials,
+    # each sized for the largest sample and shared by all sizes
+    sizes = []
+    mapping = montecarlo._mapping
+
+    def spy(nbytes):
+        sizes.append(nbytes)
+        return mapping(nbytes)
+
+    monkeypatch.setattr(montecarlo, "_mapping", spy)
+    cfg = EnsembleConfig(CHAIN3, (16, 8, 5), trials=2, master_seed=3, workers=workers)
+    rep = run_sweep(cfg)
+    assert sizes == [16 * 48**2] * mappings
+    monkeypatch.undo()
+    assert np.array_equal(rep.smin, run_sweep(replace(cfg, workers=1)).smin)
 
 
 def test_sweep_calls_lapack_in_place_not_eigvalsh(monkeypatch):

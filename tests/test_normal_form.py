@@ -232,6 +232,11 @@ def test_verify_no_support_form_catches_tampering():
     bad = replace(form, perm=(0, 1, 2), witness_i=(1, 2), witness_j=(1, 2))
     with pytest.raises(StructureViolationError, match="zero corner"):
         normal_form._verify_no_support_form(pattern_of(s), bad)
+    # witnesses that name other indices than the blocks of perm
+    for witnesses in [dict(witness_i=(0, 2)), dict(witness_j=(1, 2)),
+                      dict(witness_i=(0,)), dict(witness_j=(0, 1, 2))]:
+        with pytest.raises(StructureViolationError, match="witness"):
+            normal_form._verify_no_support_form(pattern_of(s), replace(form, **witnesses))
     # a zero corner of maximal perimeter whose first-block rows do not
     # spread: row 0 touches one of the three corner columns
     s = np.zeros((5, 5))
