@@ -236,9 +236,9 @@ def _lumped(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     over the ``j`` in class ``J`` for any ``i`` in class ``I``.  Identical
     rows give identical right-hand sides, so ``x`` solves the equation on
     ``r`` exactly when ``x[cls]`` solves it on ``a``.  Without repeated rows
-    ``r`` is ``a`` itself."""
+    ``r`` is ``a`` itself.  ``a`` is C-ordered, as a profile stores it."""
     k = a.shape[0]
-    rows = np.ascontiguousarray(a).view(np.dtype((np.void, a.itemsize * k)))
+    rows = a.view(np.dtype((np.void, a.itemsize * k)))
     _, first, inverse = np.unique(rows[:, 0], return_index=True, return_inverse=True)
     if first.size == k:
         return a, np.arange(k)
@@ -247,16 +247,6 @@ def _lumped(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     r = np.zeros((first.size, first.size))
     np.add.at(r.T, cls, a[first[order]].T)
     return r, cls
-
-
-def _class_mean(x: np.ndarray, cls: np.ndarray, n: int) -> np.ndarray:
-    """Average of ``x`` over each of the ``n`` classes (``x`` itself when
-    every class is one index)."""
-    if n == cls.size:
-        return x
-    total = np.zeros(n, dtype=x.dtype)
-    np.add.at(total, cls, x)
-    return total / np.bincount(cls, minlength=n)
 
 
 def _positive_vector(x, k: int, name: str) -> np.ndarray:
@@ -337,12 +327,11 @@ def _newton_step(a, z, c, x, u, xu):
     NaN where the wrapper would raise (the caller silences the flag).
 
     diag(x*u) is added in place to the diagonal, every (K+1)-th entry of
-    the product in memory order (C or F, as the profile is stored).
-    Unlike the sum with diag(x*u) this leaves the sign of an off-diagonal
-    zero, and ``c - xu`` may differ from ``-(xu - c)`` in the sign of a
-    zero; the solve turns either into zeros that 1 + t y absorbs.  The
-    product (x a) x stays out of place: in place, numpy's complex multiply
-    can take a loop that rounds differently when K = 1."""
+    the product.  Unlike the sum with diag(x*u) this leaves the sign of an
+    off-diagonal zero, and ``c - xu`` may differ from ``-(xu - c)`` in the
+    sign of a zero; the solve turns either into zeros that 1 + t y
+    absorbs.  The product (x a) x stays out of place: in place, numpy's
+    complex multiply can take a loop that rounds differently when K = 1."""
     jac = (x[:, None] * a) * x[None, :]
     jac.ravel("K")[:: x.size + 1] += xu
     y = _solve(jac, c - xu)
@@ -438,6 +427,25 @@ def _continuation_path(target: float, top: float = 1.0) -> list[float]:
     return path
 
 
+def _solve_merged(r, z, c, tol, max_iter, y=None):
+    """Solution of x * (z + r x) = c on the merged profile ``r`` (complex in
+    the plane, see :func:`_complex_profile`) and the iterations it took.
+
+    This is the one warm-start rule of the sweeps.  ``y``, the merged
+    solution at the previous point, starts one stage at ``z`` that gives up
+    when the watchdog fires.  Without ``y``, or when that stage gives up,
+    the cold continuation runs (:func:`_cold_axis`, :func:`_cold_plane`).
+    Both draw on one budget of ``max_iter`` iterations."""
+    budget = _Budget(max_iter)
+    if y is not None:
+        try:
+            return _stage(r, z, c, y, tol, budget, give_up=True), budget.used
+        except NonConvergenceError:
+            pass
+    cold = _cold_axis if c > 0 else _cold_plane
+    return cold(r, z, tol, budget), budget.used
+
+
 @np.errstate(all="ignore")
 def solve_imaginary_axis(
     s,
@@ -445,12 +453,12 @@ def solve_imaginary_axis(
     *,
     tol: float = 1e-12,
     max_iter: int = 100_000,
-    start=None,
 ) -> AxisSolution:
     """Solve ``1/v = eta + S v`` for the positive vector ``v`` at ``eta > 0``.
 
-    Indices with identical rows of ``S`` have identical entries of ``v``;
-    they are merged before the solve and the result is expanded back.
+    Continuation descends from ``max(eta, 1)`` by halving ``eta``.  Indices
+    with identical rows of ``S`` have identical entries of ``v``; they are
+    merged before the solve and the result is expanded back.
 
     Parameters
     ----------
@@ -463,24 +471,15 @@ def solve_imaginary_axis(
         ``max |v * (eta + S v) - 1|``.
     max_iter : int
         Total iteration budget across all continuation stages.
-    start : array, optional
-        Finite positive warm start; when given, continuation is skipped
-        and the equation is solved directly at ``eta``.  It is averaged
-        over each set of indices with identical rows.
 
     Raises
     ------
-    ZeroRowError, NonConvergenceError, NonPositiveInputError, ValueError
+    ZeroRowError, NonConvergenceError, ValueError
     """
     eta = _axis_point(eta)
     _check_controls(tol, max_iter)
     a, r, cls, row_max = _solver_system(s)
-    y = None
-    if start is not None:
-        y = _class_mean(
-            _positive_vector(start, a.shape[0], "start vector"), cls, r.shape[0]
-        )
-    y, iterations = _axis(r, row_max, eta, tol, y, max_iter)
+    y, iterations = _axis(r, row_max, eta, tol, max_iter=max_iter)
     v = y[cls]
     v.flags.writeable = False
     res = _residual(a, eta, 1.0, v)[0]
@@ -505,22 +504,25 @@ def _check_controls(tol, max_iter=1) -> None:
 
 
 def _axis(r, row_max, eta, tol, y=None, max_iter=100_000):
-    """Axis solve on the merged profile ``r`` from the merged start ``y``
-    (continuation when None), checked against the a priori bounds.  Returns
+    """Axis solve on the merged profile ``r``, warm from ``y`` by the rule
+    of :func:`_solve_merged`, checked against the a priori bounds.  Returns
     the merged solution, also the warm start for a next point, and the
     iteration count; callers expand it with the ``cls`` of
     :func:`_solver_system`."""
-    budget = _Budget(max_iter)
-    if y is None:
-        path = _continuation_path(eta)
-        y = 1.0 / (path[0] + r.sum(axis=1) / path[0])
-    else:
-        path = [eta]
+    y, iterations = _solve_merged(r, eta, 1.0, tol, max_iter, y)
+    _assert_axis_bounds(row_max, eta, y, tol)
+    return y, iterations
+
+
+def _cold_axis(r, eta, tol, budget):
+    """Continuation from eta_0 = max(eta, 1) down to eta, starting from
+    1 / (eta_0 + row sums / eta_0)."""
+    path = _continuation_path(eta)
+    y = 1.0 / (path[0] + r.sum(axis=1) / path[0])
     for stage_eta in path:
         stage_tol = tol if stage_eta == eta else max(tol, 1e-10)
         y = _stage(r, stage_eta, 1.0, y, stage_tol, budget)
-    _assert_axis_bounds(row_max, eta, y, tol)
-    return y, budget.used
+    return y
 
 
 def _assert_axis_bounds(row_max, eta, v, tol):
@@ -545,16 +547,13 @@ def solve_upper_half_plane(
     *,
     tol: float = 1e-10,
     max_iter: int = 100_000,
-    start=None,
 ) -> PlaneSolution:
     """Solve ``-1/m = z + S m`` with ``Im m > 0`` at ``z`` with ``Im z > 0``.
 
     Continuation descends from ``Re z + i max(Im z, 1)`` by halving the
-    imaginary part; pass ``start`` (an upper-half-plane vector) to solve
-    directly at ``z``.  On the imaginary axis the solution equals
-    ``i v(eta)`` with ``v`` from :func:`solve_imaginary_axis`.  As there,
-    indices with identical rows are merged and ``start`` is averaged over
-    them.
+    imaginary part.  On the imaginary axis the solution equals ``i v(eta)``
+    with ``v`` from :func:`solve_imaginary_axis`.  As there, indices with
+    identical rows are merged.
 
     Raises
     ------
@@ -563,17 +562,7 @@ def solve_upper_half_plane(
     z = _plane_point(z)
     _check_controls(tol, max_iter)
     a, r, cls, _ = _solver_system(s)
-    y = None
-    if start is not None:
-        m = np.asarray(start, dtype=complex)
-        if m.shape != (a.shape[0],):
-            raise ValueError(f"start vector must have shape ({a.shape[0]},)")
-        if not (np.isfinite(m).all() and (m.imag > 0).all()):
-            raise ImaginarySignLostError(
-                "start vector must be finite with Im m > 0"
-            )
-        y = _class_mean(m, cls, r.shape[0])
-    y, iterations = _plane(r, z, tol, y, max_iter)
+    y, iterations = _solve_merged(_complex_profile(r), z, -1.0, tol, max_iter)
     m = y[cls]
     m.flags.writeable = False
     res = _residual(a, z, -1.0, m)[0]
@@ -593,22 +582,18 @@ def _complex_profile(r: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(r, dtype=complex)
 
 
-def _plane(r, z, tol, y=None, max_iter=100_000):
-    """Plane solve on the merged profile ``r``; see :func:`_axis`."""
-    r = _complex_profile(r)
-    budget = _Budget(max_iter)
-    if y is None:
-        ims = _continuation_path(z.imag)
-        path = [complex(z.real, im) for im in ims]
-        y = np.full(r.shape[0], -1.0 / path[0], dtype=complex)
-        if not (y.imag > 0).all():  # pragma: no cover - safe by construction
-            y = np.full(r.shape[0], 1j, dtype=complex)
-    else:
-        path = [z]
+def _cold_plane(r, z, tol, budget):
+    """Continuation from z_0 = Re z + i max(Im z, 1) down to z, starting
+    from -1 / z_0; see :func:`_cold_axis`."""
+    ims = _continuation_path(z.imag)
+    path = [complex(z.real, im) for im in ims]
+    y = np.full(r.shape[0], -1.0 / path[0], dtype=complex)
+    if not (y.imag > 0).all():  # pragma: no cover - safe by construction
+        y = np.full(r.shape[0], 1j, dtype=complex)
     for stage_z in path:
         stage_tol = tol if stage_z == z else max(tol, 1e-9)
         y = _stage(r, stage_z, -1.0, y, stage_tol, budget)
-    return y, budget.used
+    return y
 
 
 # --- density of states -----------------------------------------------------------
@@ -648,14 +633,7 @@ def density_profile(
     k, merged = cls.size, r.shape[0] < cls.size
     y = None
     for j, tau in enumerate(taus):
-        z = complex(tau, epsilon)
-        if y is not None:
-            try:
-                y = _stage(r, z, -1.0, y, tol, _Budget(max_iter), give_up=True)
-            except NonConvergenceError:
-                y = None
-        if y is None:
-            y, _ = _plane(r, z, tol, None, max_iter)
+        y, _ = _solve_merged(r, complex(tau, epsilon), -1.0, tol, max_iter, y)
         # sum / k is np.mean's arithmetic
         rho[j] = float((y[cls] if merged else y).imag.sum() / k / math.pi)
     taus = taus.copy()

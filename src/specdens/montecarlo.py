@@ -393,8 +393,9 @@ def run_sweep(config: EnsembleConfig) -> SweepReport:
     and reduced in index order, so the report is identical for any worker
     count and any BLAS thread count.  When the OpenBLAS thread count
     cannot be set, the default pool has one worker and BLAS keeps its own
-    threads.  Sizes, trials and workers must be integers (Python or
-    numpy, not bool); anything else raises ValueError."""
+    threads.  Sizes, trials, workers and the non-negative master seed must
+    be integers (Python or numpy, not bool); anything else raises
+    ValueError before any trial runs."""
     an = analyze(config.profile)
     profile, ex = an.profile, an.exponents
     sizes = tuple(config.sizes)
@@ -407,6 +408,8 @@ def run_sweep(config: EnsembleConfig) -> SweepReport:
     workers = config.workers
     if workers is not None and not (_is_integer(workers) and workers >= 1):
         raise ValueError("workers must be a positive integer")
+    if not (_is_integer(config.master_seed) and config.master_seed >= 0):
+        raise ValueError("master_seed must be a non-negative integer")
     sizes = tuple(int(n) for n in sizes)
     trials = int(config.trials)
     k = profile.k
@@ -455,7 +458,7 @@ def run_sweep(config: EnsembleConfig) -> SweepReport:
         sizes=sizes,
         dims=dims,
         trials=trials,
-        master_seed=config.master_seed,
+        master_seed=int(config.master_seed),
         smin=smin,
         mean_smin=tuple(float(x) for x in mean),
         stderr_smin=tuple(float(x) for x in stderr),

@@ -64,13 +64,15 @@ __all__ = [
 class VarianceProfile:
     """Symmetric entrywise non-negative K x K matrix of variances.
 
-    Entries are stored as float64 exactly as given (no thresholding); the
-    zero pattern is defined by exact comparison with 0. The array is made
-    read-only so a profile can be shared safely.
+    Entries are stored as float64 exactly as given (no thresholding), in C
+    order whatever the layout of the input, so that the solvers' BLAS calls
+    and their results do not depend on it; the zero pattern is defined by
+    exact comparison with 0. The array is made read-only so a profile can be
+    shared safely.
     """
 
     def __init__(self, entries):
-        a = np.array(entries, dtype=float)
+        a = np.array(entries, dtype=float, order="C")
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError("profile must be a square matrix")
         if a.shape[0] < 1:

@@ -471,12 +471,26 @@ def test_sweep_rejects_non_integers(sizes, trials, workers, message):
         run_sweep(EnsembleConfig(ARROW, sizes, trials=trials, workers=workers))
 
 
+@pytest.mark.parametrize("seed", [1.7, True, "7", -1, np.int64(-1), None])
+def test_sweep_rejects_a_bad_master_seed(monkeypatch, seed):
+    # checked with the sizes, trials and workers, before any trial runs:
+    # the trials would read 1.7 and True as 1 and "7" as 7
+    def no_trial(*args):
+        raise AssertionError("a trial ran before the seed was checked")
+
+    monkeypatch.setattr(montecarlo, "_trial", no_trial)
+    with pytest.raises(ValueError, match="master_seed must be a non-negative integer"):
+        run_sweep(EnsembleConfig(ARROW, (4, 8), trials=3, master_seed=seed, workers=1))
+
+
 def test_sweep_accepts_numpy_integers():
     expected = run_sweep(EnsembleConfig(ARROW, (4, 8), trials=3, master_seed=6, workers=2))
     rep = run_sweep(
         EnsembleConfig(
-            ARROW, np.array([4, 8]), trials=np.int64(3), master_seed=6, workers=np.int32(2)
+            ARROW, np.array([4, 8]), trials=np.int64(3), master_seed=np.uint8(6),
+            workers=np.int32(2),
         )
     )
     assert rep.sizes == (4, 8) and rep.trials == 3
+    assert rep.master_seed == 6 and type(rep.master_seed) is int
     assert np.array_equal(rep.smin, expected.smin)
