@@ -20,9 +20,10 @@ Profiles are read from CSV (K lines of K comma-separated decimals) or JSON
 Exit codes: 0 success; 1 check failed (scaling deviation above tolerance,
 or a profile without support where support is required, or with support
 where its absence is required); 2 unreadable or invalid profile, or an
-invalid argument value (such as a non-positive ``--epsilon``); 3 profile
-with an identically zero row; 4 internal structure violation (including a
-cyclic block relation) or a result failing its self-check; 5 numerical
+invalid argument value (such as a non-positive ``--epsilon`` or a NaN or
+negative ``--tolerance``); 3 profile with an identically zero row; 4
+internal structure violation (including a cyclic block relation) or a
+result failing its self-check; 5 numerical
 failure (solver non-convergence, an iterate leaving the upper half-plane,
 a failed eigendecomposition); 6 any other error of the package.
 """
@@ -158,6 +159,9 @@ def _sweep(s, args):
 
 
 def _cmd_scaling(args) -> int:
+    # a NaN tolerance would pass every fit and a negative one fail every fit
+    if not args.tolerance >= 0:
+        raise ValueError(f"tolerance must be non-negative, not {args.tolerance:g}")
     fit = _fit(_load_profile(args.profile), args)
     sys.stdout.write(scaling_table_csv(fit))
     if fit.max_deviation > args.tolerance:

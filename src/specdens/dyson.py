@@ -288,10 +288,9 @@ class _Budget:
 # Each iteration runs as few numpy calls as the arithmetic allows, since on
 # small K their dispatch is the whole cost.  The residual of an iterate
 # also returns u = z + S x and x * u, which the next Newton or damped step
-# reuses: one matvec and one product per iterate.  The plane solvers cast
-# the real profile to complex once per call, where matmul and the Jacobian
-# would cast it on every use (the same C-ordered copy the casts make, so
-# the same bits).  Norms and sign tests call the reducing ufuncs directly.
+# reuses: one matvec and one product per iterate.  In the plane the sweep
+# casts the real profile to complex once (see _sweep).  Norms and sign
+# tests call the reducing ufuncs directly.
 
 
 def _residual(a, z, c: float, x: np.ndarray):
@@ -419,9 +418,9 @@ def _stage(a, z, c, x, tol, budget: _Budget, give_up: bool = False):
 # --- solvers on the imaginary axis and in the upper half-plane -------------------
 
 
-def _continuation_path(target: float, top: float = 1.0) -> list[float]:
-    """Geometric path from max(target, top) down to target (inclusive)."""
-    path = [max(target, top)]
+def _continuation_path(target: float) -> list[float]:
+    """Geometric path from max(target, 1) down to target (inclusive)."""
+    path = [max(target, 1.0)]
     while path[-1] > target * 1.0000001:
         path.append(max(target, path[-1] * 0.5))
     return path
@@ -429,7 +428,7 @@ def _continuation_path(target: float, top: float = 1.0) -> list[float]:
 
 def _solve_merged(r, z, c, tol, max_iter, y=None):
     """Solution of x * (z + r x) = c on the merged profile ``r`` (complex in
-    the plane, see :func:`_complex_profile`) and the iterations it took.
+    the plane) and the iterations it took.
 
     This is the one warm-start rule of the sweeps.  ``y``, the merged
     solution at the previous point, starts one stage at ``z`` that gives up
@@ -444,6 +443,45 @@ def _solve_merged(r, z, c, tol, max_iter, y=None):
             pass
     cold = _cold_axis if c > 0 else _cold_plane
     return cold(r, z, tol, budget), budget.used
+
+
+def _sweep(s, points, tol, max_iter=100_000):
+    """Solve at each of ``points`` in turn and yield the full solution with
+    its iteration count: ``v(eta)`` at real points, ``m(z)`` at complex
+    ones (the caller checks the points).
+
+    Every solve of the module runs here.  The sweep checks the controls,
+    solves on the merged profile of :func:`_solver_system` (in the plane
+    cast once to the C-ordered complex copy that matmul and the Jacobian
+    would make on every use, so the same bits), starts each point from the
+    previous one's solution by the rule of :func:`_solve_merged`, checks
+    each axis solution against the a priori bounds and expands each
+    solution through ``cls``."""
+    _check_controls(tol, max_iter)
+    _, r, cls, row_max = _solver_system(s)
+    c = -1.0 if isinstance(points[0], complex) else 1.0
+    if c < 0:
+        r = np.ascontiguousarray(r, dtype=complex)
+    y = None
+    for z in points:
+        y, iterations = _solve_merged(r, z, c, tol, max_iter, y)
+        if c > 0:
+            _assert_axis_bounds(row_max, z, y, tol)
+        yield y[cls], iterations
+
+
+def _positive_int(n) -> bool:
+    """``n`` is a Python or numpy integer >= 1, and not a bool."""
+    return isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= 1
+
+
+def _check_controls(tol, max_iter) -> None:
+    """ValueError unless ``tol`` is finite and positive and ``max_iter`` a
+    positive integer."""
+    if not (isinstance(tol, (int, float)) and math.isfinite(tol) and tol > 0):
+        raise ValueError("tol must be a finite positive number")
+    if not _positive_int(max_iter):
+        raise ValueError("max_iter must be a positive integer")
 
 
 @np.errstate(all="ignore")
@@ -476,13 +514,10 @@ def solve_imaginary_axis(
     ------
     ZeroRowError, NonConvergenceError, ValueError
     """
-    eta = _axis_point(eta)
-    _check_controls(tol, max_iter)
-    a, r, cls, row_max = _solver_system(s)
-    y, iterations = _axis(r, row_max, eta, tol, max_iter=max_iter)
-    v = y[cls]
+    eta, profile = _axis_point(eta), as_profile(s)
+    [(v, iterations)] = _sweep(profile, [eta], tol, max_iter)
     v.flags.writeable = False
-    res = _residual(a, eta, 1.0, v)[0]
+    res = _residual(profile.entries, eta, 1.0, v)[0]
     return AxisSolution(eta=eta, v=v, residual=res, iterations=iterations)
 
 
@@ -490,28 +525,6 @@ def _axis_point(eta) -> float:
     if not (isinstance(eta, (int, float)) and math.isfinite(eta) and eta > 0):
         raise ValueError("eta must be a finite positive real number")
     return float(eta)
-
-
-def _check_controls(tol, max_iter=1) -> None:
-    """ValueError unless ``tol`` is finite and positive and ``max_iter`` a
-    positive integer (not a bool)."""
-    if not (isinstance(tol, (int, float)) and math.isfinite(tol) and tol > 0):
-        raise ValueError("tol must be a finite positive number")
-    if isinstance(max_iter, bool) or not (
-        isinstance(max_iter, (int, np.integer)) and max_iter >= 1
-    ):
-        raise ValueError("max_iter must be a positive integer")
-
-
-def _axis(r, row_max, eta, tol, y=None, max_iter=100_000):
-    """Axis solve on the merged profile ``r``, warm from ``y`` by the rule
-    of :func:`_solve_merged`, checked against the a priori bounds.  Returns
-    the merged solution, also the warm start for a next point, and the
-    iteration count; callers expand it with the ``cls`` of
-    :func:`_solver_system`."""
-    y, iterations = _solve_merged(r, eta, 1.0, tol, max_iter, y)
-    _assert_axis_bounds(row_max, eta, y, tol)
-    return y, iterations
 
 
 def _cold_axis(r, eta, tol, budget):
@@ -559,13 +572,10 @@ def solve_upper_half_plane(
     ------
     ZeroRowError, NonConvergenceError, ImaginarySignLostError, ValueError
     """
-    z = _plane_point(z)
-    _check_controls(tol, max_iter)
-    a, r, cls, _ = _solver_system(s)
-    y, iterations = _solve_merged(_complex_profile(r), z, -1.0, tol, max_iter)
-    m = y[cls]
+    z, profile = _plane_point(z), as_profile(s)
+    [(m, iterations)] = _sweep(profile, [z], tol, max_iter)
     m.flags.writeable = False
-    res = _residual(a, z, -1.0, m)[0]
+    res = _residual(profile.entries, z, -1.0, m)[0]
     return PlaneSolution(z=z, m=m, residual=res, iterations=iterations)
 
 
@@ -576,19 +586,15 @@ def _plane_point(z) -> complex:
     return z
 
 
-def _complex_profile(r: np.ndarray) -> np.ndarray:
-    """``r`` as the C-ordered complex matrix that matmul and the Jacobian
-    product would cast it to on every call."""
-    return np.ascontiguousarray(r, dtype=complex)
-
-
 def _cold_plane(r, z, tol, budget):
     """Continuation from z_0 = Re z + i max(Im z, 1) down to z, starting
     from -1 / z_0; see :func:`_cold_axis`."""
     ims = _continuation_path(z.imag)
     path = [complex(z.real, im) for im in ims]
     y = np.full(r.shape[0], -1.0 / path[0], dtype=complex)
-    if not (y.imag > 0).all():  # pragma: no cover - safe by construction
+    # Im(-1/z_0) = Im z_0 / |z_0|^2 underflows to 0 when |Re z| is huge
+    # (at Im z_0 = 1 from about 1e162 on); the start is then i
+    if not (y.imag > 0).all():
         y = np.full(r.shape[0], 1j, dtype=complex)
     for stage_z in path:
         stage_tol = tol if stage_z == z else max(tol, 1e-9)
@@ -619,24 +625,13 @@ def density_profile(
     """
     if not (isinstance(epsilon, (int, float)) and epsilon > 0):
         raise NonPositiveInputError("epsilon must be strictly positive")
-    _check_controls(tol, max_iter)
-    _, r, cls, _ = _solver_system(s)
-    taus = np.asarray(tau_grid, dtype=float)
+    taus = np.array(tau_grid, dtype=float)
     if taus.ndim != 1 or taus.size == 0:
         raise ValueError("tau_grid must be a non-empty 1-D array")
-    # every tau + i epsilon lies in the open upper half-plane (see
-    # _plane_point), checked before the first solve
-    if not (math.isfinite(epsilon) and np.isfinite(taus).all()):
-        raise ValueError("z must lie in the open upper half-plane")
-    r = _complex_profile(r)
-    rho = np.empty_like(taus)
-    k, merged = cls.size, r.shape[0] < cls.size
-    y = None
-    for j, tau in enumerate(taus):
-        y, _ = _solve_merged(r, complex(tau, epsilon), -1.0, tol, max_iter, y)
-        # sum / k is np.mean's arithmetic
-        rho[j] = float((y[cls] if merged else y).imag.sum() / k / math.pi)
-    taus = taus.copy()
+    zs = [_plane_point(complex(tau, epsilon)) for tau in taus]  # before any solve
+    sweep = _sweep(s, zs, tol, max_iter)
+    # sum / K is np.mean's arithmetic
+    rho = np.array([m.imag.sum() / m.size / math.pi for m, _ in sweep])
     taus.flags.writeable = False
     rho.flags.writeable = False
     return DensityCurve(tau=taus, rho=rho, epsilon=float(epsilon))
@@ -710,26 +705,14 @@ def empirical_exponents(
     largest absolute gap between fitted and predicted slopes.  The fit
     converges only logarithmically in ``eta``, so wide grids (several
     decades) are required for tight comparisons."""
-    _check_controls(tol)
     an = _supported(s)
     nf, ex = an.nf, an.exponents
     etas = _geometric_grid(eta_max, eta_min, points_per_decade)
-    _, r, cls, row_max = _solver_system(an)
-    n_blocks = nf.n_blocks
-    block_cls = [
-        cls[[nf.perm[i] for i in nf.block_indices(b)]] for b in range(n_blocks)
-    ]
-    avgs = np.empty((etas.size, n_blocks))
-    y = None
-    for p, eta in enumerate(etas):
-        y, _ = _axis(r, row_max, float(eta), tol, y)
-        for b in range(n_blocks):
-            avgs[p, b] = y[block_cls[b]].mean()
+    blocks = [[nf.perm[i] for i in nf.block_indices(b)] for b in range(nf.n_blocks)]
+    sweep = _sweep(an, etas.tolist(), tol)
+    avgs = np.array([[v[block].mean() for block in blocks] for v, _ in sweep])
     log_eta = np.log(etas)
-    fitted = tuple(
-        float(np.polyfit(log_eta, np.log(avgs[:, b]), 1)[0])
-        for b in range(n_blocks)
-    )
+    fitted = tuple(float(np.polyfit(log_eta, np.log(col), 1)[0]) for col in avgs.T)
     predicted = tuple(float(-f) for f in ex.f)
     dev = max(abs(a - b) for a, b in zip(fitted, predicted))
     etas.flags.writeable = False
@@ -836,22 +819,20 @@ def limit_weights(
     remaining error is of order ``omega_1 * omega_2``.  Returns the
     :func:`rescaled_profile` data of ``s`` with ``w``, ``w_residual`` (the
     max-norm of ``w * (s0 @ w) - 1``) and ``eta_pair`` filled in."""
-    _check_controls(tol)
     an = analyze(s)
     data = rescaled_profile(an)
-    e1, e2 = (float(eta_pair[0]), float(eta_pair[1]))
-    if not (e1 > e2 > 0):
+    pair = tuple(float(e) for e in eta_pair[:3])  # a third value is an error too
+    if not (len(pair) == 2 and pair[0] > pair[1] > 0):
         raise ValueError("eta_pair must be two descending positive values")
+    e1, e2 = pair
     # blocks are contiguous in the permuted order: one exponent per index
     f_idx = np.repeat([float(f) for f in data.exponents.f], data.nf.dims)
     q = data.exponents.Q
 
-    _, r, cls, row_max = _solver_system(an)
-    perm_cls = cls[list(data.nf.perm)]  # merged entry of each permuted index
-    y1, _ = _axis(r, row_max, _axis_point(e1), tol)
-    y2, _ = _axis(r, row_max, e2, tol, y1)
-    x1 = y1[perm_cls] * e1**f_idx
-    x2 = y2[perm_cls] * e2**f_idx
+    perm = list(data.nf.perm)
+    (v1, _), (v2, _) = _sweep(an, [_axis_point(e1), e2], tol)
+    x1 = v1[perm] * e1**f_idx
+    x2 = v2[perm] * e2**f_idx
     w1, w2 = e1 ** (1.0 / q), e2 ** (1.0 / q)
     w = x2 - w2 * (x1 - x2) / (w1 - w2)
     if not (w > 0).all():
@@ -929,7 +910,6 @@ def atom_mass_estimate(
     (|I| + |J| - K) / K of a maximal all-zero submatrix; the numeric value
     is taken at the smallest point of the descending ``eta_grid``.  Raises
     HasSupportError when the pattern has support (no atom at zero)."""
-    _check_controls(tol)
     an = analyze(s)
     if an.nf is not None:
         raise HasSupportError(
@@ -939,17 +919,13 @@ def atom_mass_estimate(
     etas = tuple(sorted((float(e) for e in eta_grid), reverse=True))
     if not etas or etas[-1] <= 0:
         raise ValueError("eta_grid must contain positive values")
-    _, r, cls, row_max = _solver_system(an)
-    estimates = []
-    y = None
-    for eta in etas:
-        y, _ = _axis(r, row_max, _axis_point(eta), tol, y)
-        estimates.append(eta * float(y[cls].mean()))
+    sweep = _sweep(an, [_axis_point(eta) for eta in etas], tol)
+    estimates = tuple(eta * float(v.mean()) for eta, (v, _) in zip(etas, sweep))
     return AtomMass(
         kappa_exact=kappa,
         kappa_numeric=estimates[-1],
         eta_grid=etas,
-        estimates=tuple(estimates),
+        estimates=estimates,
     )
 
 
@@ -964,7 +940,7 @@ def quantile(curve: DensityCurve, sigma, n: int) -> QuantileFit:
 
     Raises GridTooCoarseError when the quantile falls inside the first grid
     cell or beyond the grid."""
-    if n < 1:
+    if not _positive_int(n):
         raise ValueError("n must be a positive integer")
     sig = Fraction(sigma) if not isinstance(sigma, float) else sigma
     sig_f = float(sig)

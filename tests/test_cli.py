@@ -80,6 +80,23 @@ def test_scaling_fails_absurd_tolerance(arrow_file, capsys):
     assert captured.out.startswith("block,")  # table still emitted
 
 
+@pytest.mark.parametrize("tolerance", ["nan", "-1"])
+def test_scaling_rejects_a_nan_or_negative_tolerance(
+    arrow_file, capsys, monkeypatch, tolerance
+):
+    # nan passed every fit and -1 failed every fit; both are rejected
+    # before any solve
+    def no_fit(*args, **kwargs):
+        raise AssertionError("solved before the tolerance was checked")
+
+    monkeypatch.setattr(cli, "empirical_exponents", no_fit)
+    assert cli.main(["scaling", arrow_file, "--tolerance", tolerance]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "tolerance" in captured.err
+
+
 def test_scaling_requires_support(nosupport_file, capsys):
     assert cli.main(["scaling", nosupport_file]) == 1
     assert "no support" in capsys.readouterr().err

@@ -87,11 +87,9 @@ def test_axis_upper_bound_is_exact():
 
 def test_axis_warm_start():
     # the axis sweeps start each point from the previous one's solution
-    _, r, _, row_max = dyson._solver_system(CHAIN3)
     with np.errstate(all="ignore"):  # as the solvers
-        base, _ = dyson._axis(r, row_max, 2e-8, 1e-12)
-        warm, warm_its = dyson._axis(r, row_max, 1e-8, 1e-12, base)
-        cold, cold_its = dyson._axis(r, row_max, 1e-8, 1e-12)
+        _, (warm, warm_its) = dyson._sweep(CHAIN3, [2e-8, 1e-8], 1e-12)
+        [(cold, cold_its)] = dyson._sweep(CHAIN3, [1e-8], 1e-12)
     assert np.max(np.abs(warm / cold - 1.0)) < 1e-9
     assert warm_its < cold_its
 
@@ -119,10 +117,10 @@ def test_axis_rejects_bad_input():
 def _kernel_args(z):
     """The profile, ``c`` and tolerance with which the solvers run the
     kernel on ARROW at ``z``: on the axis for a real ``z``, else in the
-    plane."""
+    plane, where the sweep casts the profile to complex once."""
     if isinstance(z, float):
         return ARROW, 1.0, 1e-12
-    return dyson._complex_profile(ARROW), -1.0, 1e-10
+    return np.ascontiguousarray(ARROW, dtype=complex), -1.0, 1e-10
 
 
 @pytest.mark.parametrize(
@@ -158,14 +156,9 @@ def test_a_stalled_warm_start_is_solved_cold(z, start):
     # point that stalls gives up within one watchdog period, and the point
     # is solved cold, bit for bit
     r, c, tol = _kernel_args(z)
-    row_max = float(ARROW.sum(axis=1).max())
     with np.errstate(all="ignore"):  # as the solvers
-        if c > 0:
-            cold, cold_its = dyson._axis(r, row_max, z, tol)
-            warm, warm_its = dyson._axis(r, row_max, z, tol, np.array(start))
-        else:
-            cold, cold_its = dyson._solve_merged(r, z, c, tol, 100_000)
-            warm, warm_its = dyson._solve_merged(r, z, c, tol, 100_000, np.array(start))
+        cold, cold_its = dyson._solve_merged(r, z, c, tol, 100_000)
+        warm, warm_its = dyson._solve_merged(r, z, c, tol, 100_000, np.array(start))
     assert np.array_equal(warm, cold)
     assert cold_its < warm_its <= cold_its + dyson._WATCHDOG + 1
 
@@ -277,6 +270,23 @@ def test_plane_reflection_symmetry():
 def test_plane_imaginary_part_positive():
     sol = solve_upper_half_plane(BIG_EXAMPLE, 0.2 + 1e-6j)
     assert (sol.m.imag > 0).all()
+
+
+def test_plane_cold_start_far_out_on_the_real_axis(monkeypatch):
+    # at |Re z| of about 1e162 and more Im(-1/z_0) underflows to 0, and the
+    # cold continuation starts from i instead; it still converges with
+    # Im m > 0
+    starts = []
+    stage = dyson._stage
+
+    def spy(r, z, c, x, *args, **kwargs):
+        starts.append(x)
+        return stage(r, z, c, x, *args, **kwargs)
+
+    monkeypatch.setattr(dyson, "_stage", spy)
+    sol = solve_upper_half_plane(ARROW, 1e300 + 1j)
+    assert np.array_equal(starts[0], [1j, 1j])
+    assert (sol.m.imag > 0).all() and sol.residual <= 1e-10
 
 
 def test_plane_rejects_bad_input():
@@ -845,6 +855,15 @@ def test_rescaled_pair_rates_match():
             assert data.h[b] > 0
 
 
+@pytest.mark.parametrize(
+    "eta_pair", [(1e-12,), (3e-12, 2e-12, 1e-12), (), (1e-12, 2e-12)],
+    ids=["one", "three", "none", "ascending"],
+)
+def test_limit_weights_rejects_a_bad_eta_pair(eta_pair):
+    with pytest.raises(ValueError, match="eta_pair must be two descending"):
+        limit_weights(ARROW, eta_pair=eta_pair)
+
+
 def test_limit_weights_scalar():
     data = limit_weights(ONES1)
     assert abs(data.w[0] - 1.0) < 1e-9
@@ -937,6 +956,17 @@ def test_quantile_predicted_slopes():
     curve = _semicircle_curve()
     assert quantile(curve, F(1, 3), 50).predicted_slope == pytest.approx(-1.5)
     assert quantile(curve, F(1, 2), 50).predicted_slope == pytest.approx(-2.0)
+
+
+@pytest.mark.parametrize("n", [2.5, 100.0, True, 0, -3, "100"])
+def test_quantile_rejects_a_non_integer_n(n):
+    with pytest.raises(ValueError, match="n must be a positive integer"):
+        quantile(_semicircle_curve(), 0.0, n)
+
+
+def test_quantile_accepts_numpy_integers():
+    curve = _semicircle_curve()
+    assert quantile(curve, 0.0, np.int64(100)) == quantile(curve, 0.0, 100)
 
 
 def test_quantile_grid_too_coarse():
