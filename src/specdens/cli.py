@@ -20,9 +20,9 @@ Profiles are read from CSV (K lines of K comma-separated decimals) or JSON
 Exit codes: 0 success; 1 check failed (scaling deviation above tolerance,
 or a profile without support where support is required, or with support
 where its absence is required); 2 unreadable or invalid profile, or an
-invalid argument value (such as a non-positive ``--epsilon`` or a NaN or
-negative ``--tolerance``); 3 profile with an identically zero row; 4
-internal structure violation (including a cyclic block relation) or a
+invalid argument value (such as a non-positive ``--epsilon`` or a NaN,
+infinite or negative ``--tolerance``); 3 profile with an identically zero
+row; 4 internal structure violation (including a cyclic block relation) or a
 result failing its self-check; 5 numerical
 failure (solver non-convergence, an iterate leaving the upper half-plane,
 a failed eigendecomposition); 6 any other error of the package.
@@ -48,13 +48,14 @@ from .errors import (
     ImaginarySignLostError,
     NegativeEntryError,
     NonConvergenceError,
-    NonPositiveInputError,
     NoSupportError,
     NotSymmetricError,
     SelfCheckError,
     SpecdensError,
     StructureViolationError,
     ZeroRowError,
+    _count,
+    _real,
 )
 from .minmax import analyze
 from .montecarlo import EnsembleConfig, run_sweep
@@ -98,13 +99,11 @@ def _load_profile(path: str):
 
 
 def _parse_sizes(text: str) -> tuple[int, ...]:
+    """The integers of a comma-separated list; :func:`run_sweep` checks them."""
     try:
-        sizes = tuple(int(x) for x in text.split(","))
+        return tuple(int(x) for x in text.split(","))
     except ValueError:
         raise ValueError(f"invalid size list {text!r}") from None
-    if not sizes or any(n < 1 for n in sizes):
-        raise ValueError(f"invalid size list {text!r}")
-    return sizes
 
 
 def _classify_text(doc: dict) -> str:
@@ -159,9 +158,8 @@ def _sweep(s, args):
 
 
 def _cmd_scaling(args) -> int:
-    # a NaN tolerance would pass every fit and a negative one fail every fit
-    if not args.tolerance >= 0:
-        raise ValueError(f"tolerance must be non-negative, not {args.tolerance:g}")
+    # a NaN or infinite tolerance would pass every fit, a negative one none
+    _real(args.tolerance, "tolerance", 0.0)
     fit = _fit(_load_profile(args.profile), args)
     sys.stdout.write(scaling_table_csv(fit))
     if fit.max_deviation > args.tolerance:
@@ -176,7 +174,10 @@ def _cmd_scaling(args) -> int:
 
 def _cmd_density(args) -> int:
     profile = _load_profile(args.profile)
-    taus = np.linspace(args.tau_min, args.tau_max, args.points)
+    bounds = _real(args.tau_min, "tau_min"), _real(args.tau_max, "tau_max")
+    # a span beyond the float range gives non-finite points: a ValueError
+    with np.errstate(all="ignore"):
+        taus = np.linspace(*bounds, _count(args.points, "points"))
     curve = density_profile(profile, taus, epsilon=args.epsilon)
     sys.stdout.write(density_csv(curve))
     return EXIT_OK
@@ -285,9 +286,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (
-        ValueError, NotSymmetricError, NegativeEntryError, NonPositiveInputError
-    ) as exc:
+    except (ValueError, NotSymmetricError, NegativeEntryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except ZeroRowError as exc:

@@ -50,6 +50,8 @@ from .errors import (
     NoSupportError,
     SelfCheckError,
     ZeroRowError,
+    _count,
+    _real,
 )
 from .minmax import Analysis, IndexExponents, analyze
 from .normal_form import BlockRelation, NormalForm, as_profile, pattern_of
@@ -457,7 +459,7 @@ def _sweep(s, points, tol, max_iter=100_000):
     previous one's solution by the rule of :func:`_solve_merged`, checks
     each axis solution against the a priori bounds and expands each
     solution through ``cls``."""
-    _check_controls(tol, max_iter)
+    tol, max_iter = _real(tol, "tol", 0.0, strict=True), _count(max_iter, "max_iter")
     _, r, cls, row_max = _solver_system(s)
     c = -1.0 if isinstance(points[0], complex) else 1.0
     if c < 0:
@@ -468,20 +470,6 @@ def _sweep(s, points, tol, max_iter=100_000):
         if c > 0:
             _assert_axis_bounds(row_max, z, y, tol)
         yield y[cls], iterations
-
-
-def _positive_int(n) -> bool:
-    """``n`` is a Python or numpy integer >= 1, and not a bool."""
-    return isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= 1
-
-
-def _check_controls(tol, max_iter) -> None:
-    """ValueError unless ``tol`` is finite and positive and ``max_iter`` a
-    positive integer."""
-    if not (isinstance(tol, (int, float)) and math.isfinite(tol) and tol > 0):
-        raise ValueError("tol must be a finite positive number")
-    if not _positive_int(max_iter):
-        raise ValueError("max_iter must be a positive integer")
 
 
 @np.errstate(all="ignore")
@@ -514,17 +502,11 @@ def solve_imaginary_axis(
     ------
     ZeroRowError, NonConvergenceError, ValueError
     """
-    eta, profile = _axis_point(eta), as_profile(s)
+    eta, profile = _real(eta, "eta", 0.0, strict=True), as_profile(s)
     [(v, iterations)] = _sweep(profile, [eta], tol, max_iter)
     v.flags.writeable = False
     res = _residual(profile.entries, eta, 1.0, v)[0]
     return AxisSolution(eta=eta, v=v, residual=res, iterations=iterations)
-
-
-def _axis_point(eta) -> float:
-    if not (isinstance(eta, (int, float)) and math.isfinite(eta) and eta > 0):
-        raise ValueError("eta must be a finite positive real number")
-    return float(eta)
 
 
 def _cold_axis(r, eta, tol, budget):
@@ -572,18 +554,14 @@ def solve_upper_half_plane(
     ------
     ZeroRowError, NonConvergenceError, ImaginarySignLostError, ValueError
     """
-    z, profile = _plane_point(z), as_profile(s)
+    z = complex(z)
+    if not (math.isfinite(z.real) and math.isfinite(z.imag) and z.imag > 0):
+        raise ValueError("z must lie in the open upper half-plane")
+    profile = as_profile(s)
     [(m, iterations)] = _sweep(profile, [z], tol, max_iter)
     m.flags.writeable = False
     res = _residual(profile.entries, z, -1.0, m)[0]
     return PlaneSolution(z=z, m=m, residual=res, iterations=iterations)
-
-
-def _plane_point(z) -> complex:
-    z = complex(z)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag) and z.imag > 0):
-        raise ValueError("z must lie in the open upper half-plane")
-    return z
 
 
 def _cold_plane(r, z, tol, budget):
@@ -623,18 +601,16 @@ def density_profile(
     true density as ``epsilon`` decreases (at a rate set by the local
     regularity).  The result is strictly positive since ``Im m > 0``.
     """
-    if not (isinstance(epsilon, (int, float)) and epsilon > 0):
-        raise NonPositiveInputError("epsilon must be strictly positive")
+    epsilon = _real(epsilon, "epsilon", 0.0, strict=True)
     taus = np.array(tau_grid, dtype=float)
-    if taus.ndim != 1 or taus.size == 0:
-        raise ValueError("tau_grid must be a non-empty 1-D array")
-    zs = [_plane_point(complex(tau, epsilon)) for tau in taus]  # before any solve
-    sweep = _sweep(s, zs, tol, max_iter)
+    if taus.ndim != 1 or taus.size == 0 or not np.isfinite(taus).all():
+        raise ValueError("tau_grid must be a non-empty 1-D array of finite values")
+    sweep = _sweep(s, [complex(tau, epsilon) for tau in taus], tol, max_iter)
     # sum / K is np.mean's arithmetic
     rho = np.array([m.imag.sum() / m.size / math.pi for m, _ in sweep])
     taus.flags.writeable = False
     rho.flags.writeable = False
-    return DensityCurve(tau=taus, rho=rho, epsilon=float(epsilon))
+    return DensityCurve(tau=taus, rho=rho, epsilon=epsilon)
 
 
 # --- variational characterization ------------------------------------------------
@@ -655,8 +631,7 @@ def variational_value(s, x, eta: float) -> float:
     overflows)."""
     profile = as_profile(s)
     xv = _positive_vector(x, profile.k, "x")
-    if not (isinstance(eta, (int, float)) and math.isfinite(eta) and eta >= 0):
-        raise ValueError("eta must be a finite non-negative real number")
+    eta = _real(eta, "eta", 0.0)
     a = profile.entries
     # Both overflowing terms are non-negative and -<log x> is finite, so an
     # overflow can only make the sum +inf.
@@ -678,10 +653,11 @@ def _supported(s) -> Analysis:
 
 
 def _geometric_grid(eta_max: float, eta_min: float, points_per_decade: int):
-    if not (0 < eta_min < eta_max < math.inf):
+    eta_min = _real(eta_min, "eta_min", 0.0, strict=True)
+    eta_max = _real(eta_max, "eta_max", 0.0, strict=True)
+    if not eta_min < eta_max:
         raise ValueError("need 0 < eta_min < eta_max < inf")
-    if not points_per_decade >= 1:
-        raise ValueError("points_per_decade must be at least 1")
+    points_per_decade = _count(points_per_decade, "points_per_decade")
     decades = math.log10(eta_max / eta_min)
     n = max(2, int(round(decades * points_per_decade)) + 1)
     return np.geomspace(eta_max, eta_min, n)
@@ -750,8 +726,10 @@ def rescaled_profile(s) -> RescaledData:
     nf, rel, ex = an.nf, an.relation, an.exponents
     n = nf.n_blocks
     partner = [nf.partner(i) for i in range(n)]
-    succs = [sorted(j for (i, j) in rel.edges if i == b) for b in range(n)]
-    preds = [sorted(i for (i, j) in rel.edges if j == b) for b in range(n)]
+    succs, preds = [[] for _ in range(n)], [[] for _ in range(n)]
+    for i, j in sorted(rel.edges):  # one pass; every list ascends
+        succs[i].append(j)
+        preds[j].append(i)
 
     one = Fraction(1)
     h = []
@@ -821,8 +799,8 @@ def limit_weights(
     max-norm of ``w * (s0 @ w) - 1``) and ``eta_pair`` filled in."""
     an = analyze(s)
     data = rescaled_profile(an)
-    pair = tuple(float(e) for e in eta_pair[:3])  # a third value is an error too
-    if not (len(pair) == 2 and pair[0] > pair[1] > 0):
+    pair = [_real(e, f"eta_pair[{i}]", 0.0, strict=True) for i, e in enumerate(eta_pair)]
+    if not (len(pair) == 2 and pair[0] > pair[1]):
         raise ValueError("eta_pair must be two descending positive values")
     e1, e2 = pair
     # blocks are contiguous in the permuted order: one exponent per index
@@ -830,7 +808,7 @@ def limit_weights(
     q = data.exponents.Q
 
     perm = list(data.nf.perm)
-    (v1, _), (v2, _) = _sweep(an, [_axis_point(e1), e2], tol)
+    (v1, _), (v2, _) = _sweep(an, [e1, e2], tol)
     x1 = v1[perm] * e1**f_idx
     x2 = v2[perm] * e2**f_idx
     w1, w2 = e1 ** (1.0 / q), e2 ** (1.0 / q)
@@ -916,10 +894,11 @@ def atom_mass_estimate(
             "profile pattern has support: the density has no atom at zero"
         )
     kappa = an.no_support.kappa
-    etas = tuple(sorted((float(e) for e in eta_grid), reverse=True))
-    if not etas or etas[-1] <= 0:
+    etas = [_real(e, f"eta_grid[{i}]", 0.0, strict=True) for i, e in enumerate(eta_grid)]
+    etas = tuple(sorted(etas, reverse=True))
+    if not etas:
         raise ValueError("eta_grid must contain positive values")
-    sweep = _sweep(an, [_axis_point(eta) for eta in etas], tol)
+    sweep = _sweep(an, etas, tol)
     estimates = tuple(eta * float(v.mean()) for eta, (v, _) in zip(etas, sweep))
     return AtomMass(
         kappa_exact=kappa,
@@ -940,11 +919,9 @@ def quantile(curve: DensityCurve, sigma, n: int) -> QuantileFit:
 
     Raises GridTooCoarseError when the quantile falls inside the first grid
     cell or beyond the grid."""
-    if not _positive_int(n):
-        raise ValueError("n must be a positive integer")
-    sig = Fraction(sigma) if not isinstance(sigma, float) else sigma
-    sig_f = float(sig)
-    if not (0 <= sig_f < 1):
+    n = _count(n, "n")
+    sig_f = _real(float(sigma) if isinstance(sigma, Fraction) else sigma, "sigma", 0.0)
+    if not sig_f < 1:
         raise ValueError("sigma must lie in [0, 1)")
     taus = np.asarray(curve.tau, dtype=float)
     rho = np.asarray(curve.rho, dtype=float)

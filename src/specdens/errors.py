@@ -7,6 +7,10 @@ single except clause while still distinguishing individual conditions.
 
 from __future__ import annotations
 
+import math
+
+import numpy as np
+
 __all__ = [
     "SpecdensError",
     "NotSymmetricError",
@@ -105,8 +109,11 @@ class ImaginarySignLostError(SpecdensError):
     """A Stieltjes-transform iterate left the complex upper half-plane."""
 
 
-class NonPositiveInputError(SpecdensError):
-    """An argument required to be strictly positive is not."""
+class NonPositiveInputError(SpecdensError, ValueError, TypeError):
+    """A numeric argument is not of its kind, or lies below its bound: a
+    count or a finite real (see :func:`_count` and :func:`_real`), or a
+    vector required to be finite and strictly positive.  As a kind includes
+    the type, it is a TypeError as well as a ValueError."""
 
 
 # --- Monte Carlo ---------------------------------------------------------------
@@ -122,3 +129,35 @@ class SingularMatrixError(SpecdensError):
 
 class GridTooCoarseError(SpecdensError):
     """A quantile fell below the resolution of the supplied density grid."""
+
+
+# --- argument kinds ------------------------------------------------------------
+#
+# Every numeric scalar argument is a count or a finite real, checked once per
+# public call.  Tuples of concrete types, not the ``numbers`` ABCs, keep the
+# check cheap: ZeroPattern's runs on every pattern a classification builds.
+
+
+def _count(value, name: str, minimum: int = 1) -> int:
+    """``value`` as an int: a Python or numpy integer, not a bool, of at
+    least ``minimum``; NonPositiveInputError otherwise."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        if value >= minimum:
+            return int(value)
+    raise NonPositiveInputError(f"{name} must be an integer >= {minimum}")
+
+
+def _real(value, name: str, lower: float = -math.inf, strict: bool = False) -> float:
+    """``value`` as a float: a Python or numpy integer or floating scalar, not
+    a bool, finite and at least ``lower`` (above it when ``strict``);
+    NonPositiveInputError otherwise, also for an int beyond the float range."""
+    kind = isinstance(value, (int, float, np.integer, np.floating))
+    if kind and not isinstance(value, bool):
+        try:
+            x = float(value)
+        except OverflowError:
+            x = math.inf
+        if math.isfinite(x) and (x > lower if strict else x >= lower):
+            return x
+    bound = "" if lower == -math.inf else f" {'>' if strict else '>='} {lower:g}"
+    raise NonPositiveInputError(f"{name} must be a finite real{bound}")

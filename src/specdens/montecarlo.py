@@ -44,7 +44,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import EigFailureError, SingularMatrixError
+from .errors import EigFailureError, SingularMatrixError, _count
 from .minmax import analyze
 from .normal_form import as_profile
 
@@ -103,7 +103,7 @@ class SweepReport:
 
 
 def _trial_rng(master_seed: int, size_index: int, trial: int) -> np.random.Generator:
-    seq = np.random.SeedSequence([int(master_seed), int(size_index), int(trial)])
+    seq = np.random.SeedSequence([master_seed, size_index, trial])
     return np.random.Generator(np.random.Philox(seq))
 
 
@@ -173,11 +173,6 @@ def _sample(scale: np.ndarray, n: int, rng: np.random.Generator, out=None) -> np
     return a
 
 
-def _is_integer(value) -> bool:
-    """A Python or numpy integer, and not a bool."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
 def sample_block_hermitian(s, n: int, rng: np.random.Generator) -> np.ndarray:
     """One Hermitian sample of dimension ``N = n * K``.
 
@@ -185,9 +180,7 @@ def sample_block_hermitian(s, n: int, rng: np.random.Generator) -> np.ndarray:
     ``s[block(i), block(j)] / N``, the diagonal is real Gaussian with the
     same variance, and entries in vanishing blocks are exactly zero."""
     profile = as_profile(s)
-    if not _is_integer(n) or n < 1:
-        raise ValueError("block size n must be a positive integer")
-    n = int(n)
+    n = _count(n, "block size n")
     return _sample(_block_scale(profile, n), n, rng)
 
 
@@ -393,25 +386,17 @@ def run_sweep(config: EnsembleConfig) -> SweepReport:
     and reduced in index order, so the report is identical for any worker
     count and any BLAS thread count.  When the OpenBLAS thread count
     cannot be set, the default pool has one worker and BLAS keeps its own
-    threads.  Sizes, trials, workers and the non-negative master seed must
-    be integers (Python or numpy, not bool); anything else raises
-    ValueError before any trial runs."""
+    threads.  Sizes, trials (at least two), workers and the master seed
+    (at least zero) are counts (see the README's "Arguments"); anything
+    else raises ValueError before any trial runs."""
     an = analyze(config.profile)
     profile, ex = an.profile, an.exponents
-    sizes = tuple(config.sizes)
-    if not sizes or not all(_is_integer(n) and n >= 1 for n in sizes):
+    sizes = tuple(_count(n, f"sizes[{i}]") for i, n in enumerate(config.sizes))
+    if not sizes:
         raise ValueError("sizes must be positive integers")
-    if not _is_integer(config.trials):
-        raise ValueError("trials must be an integer")
-    if config.trials < 2:
-        raise ValueError("need at least two trials per size")
-    workers = config.workers
-    if workers is not None and not (_is_integer(workers) and workers >= 1):
-        raise ValueError("workers must be a positive integer")
-    if not (_is_integer(config.master_seed) and config.master_seed >= 0):
-        raise ValueError("master_seed must be a non-negative integer")
-    sizes = tuple(int(n) for n in sizes)
-    trials = int(config.trials)
+    trials = _count(config.trials, "trials", 2)
+    workers = None if config.workers is None else _count(config.workers, "workers")
+    seed = _count(config.master_seed, "master_seed", 0)
     k = profile.k
     dims = tuple(n * k for n in sizes)
     control = _blas_threads()
@@ -432,7 +417,7 @@ def run_sweep(config: EnsembleConfig) -> SweepReport:
         buf = buffers.get()
         try:
             out = np.frombuffer(buf, complex, (n * k) ** 2).reshape(n * k, n * k)
-            return _trial(scale, n, config.master_seed, i, t, out)
+            return _trial(scale, n, seed, i, t, out)
         finally:
             buffers.put(buf)
 
@@ -458,7 +443,7 @@ def run_sweep(config: EnsembleConfig) -> SweepReport:
         sizes=sizes,
         dims=dims,
         trials=trials,
-        master_seed=int(config.master_seed),
+        master_seed=seed,
         smin=smin,
         mean_smin=tuple(float(x) for x in mean),
         stderr_smin=tuple(float(x) for x in stderr),

@@ -32,7 +32,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import NoSupportError, ZeroRowError
+from .errors import NoSupportError, ZeroRowError, _count
 
 __all__ = [
     "ZeroPattern",
@@ -52,17 +52,16 @@ class ZeroPattern:
     """Zero pattern of a K x K matrix as its row lists: ``rows[i]`` holds,
     ascending, the columns j whose entry (i, j) is non-zero.  Entries are
     classified by exact comparison with zero; no thresholding is applied.
-    A pattern takes O(K + nnz) memory.  ValueError unless K is an integer
-    >= 1 and ``rows`` is a tuple of K tuples of strictly ascending ints in
-    ``range(K)``."""
+    A pattern takes O(K + nnz) memory.  ValueError unless K is a Python or
+    numpy integer >= 1 (kept as a Python int) and ``rows`` is a tuple of K
+    tuples of strictly ascending ints in ``range(K)``."""
 
     k: int
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        k, rows = self.k, self.rows
-        if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-            raise ValueError("pattern dimension must be an integer >= 1")
+        k, rows = _count(self.k, "pattern dimension"), self.rows
+        object.__setattr__(self, "k", k)
         if type(rows) is not tuple or len(rows) != k or any(
             type(row) is not tuple for row in rows
         ):

@@ -172,7 +172,7 @@ def test_condition_number():
 
 @pytest.mark.parametrize("n", [2.5, 0, -1, True, "4"])
 def test_sample_rejects_bad_block_size(n):
-    with pytest.raises(ValueError, match="block size n must be a positive integer"):
+    with pytest.raises(ValueError, match="block size n must be an integer >= 1"):
         sample_block_hermitian(ARROW, n, _rng(1))
 
 
@@ -450,20 +450,28 @@ def test_sweep_validates_config():
         run_sweep(EnsembleConfig(ARROW, (), trials=5))
     with pytest.raises(ValueError):
         run_sweep(EnsembleConfig(ARROW, (8,), trials=1))
-    with pytest.raises(ValueError, match="workers must be a positive integer"):
+    with pytest.raises(ValueError, match="workers must be an integer >= 1"):
         run_sweep(EnsembleConfig(ARROW, (8,), trials=5, workers=0))
 
 
+# the ids keep the wording these cases were first named with
 @pytest.mark.parametrize(
     "sizes, trials, workers, message",
     [
-        ((2.5, 4), 3, 1, "sizes must be positive integers"),
-        ((True, 4), 3, 1, "sizes must be positive integers"),
-        ((np.float64(4.0),), 3, 1, "sizes must be positive integers"),
-        ((4, 8), 2.5, 1, "trials must be an integer"),
-        ((4, 8), True, 1, "trials must be an integer"),
-        ((4, 8), 3, 1.5, "workers must be a positive integer"),
-        ((4, 8), 3, True, "workers must be a positive integer"),
+        pytest.param((2.5, 4), 3, 1, r"sizes\[0\] must be an integer >= 1",
+                     id="sizes0-3-1-sizes must be positive integers"),
+        pytest.param((True, 4), 3, 1, r"sizes\[0\] must be an integer >= 1",
+                     id="sizes1-3-1-sizes must be positive integers"),
+        pytest.param((np.float64(4.0),), 3, 1, r"sizes\[0\] must be an integer >= 1",
+                     id="sizes2-3-1-sizes must be positive integers"),
+        pytest.param((4, 8), 2.5, 1, "trials must be an integer >= 2",
+                     id="sizes3-2.5-1-trials must be an integer"),
+        pytest.param((4, 8), True, 1, "trials must be an integer >= 2",
+                     id="sizes4-True-1-trials must be an integer"),
+        pytest.param((4, 8), 3, 1.5, "workers must be an integer >= 1",
+                     id="sizes5-3-1.5-workers must be a positive integer"),
+        pytest.param((4, 8), 3, True, "workers must be an integer >= 1",
+                     id="sizes6-3-True-workers must be a positive integer"),
     ],
 )
 def test_sweep_rejects_non_integers(sizes, trials, workers, message):
@@ -479,7 +487,7 @@ def test_sweep_rejects_a_bad_master_seed(monkeypatch, seed):
         raise AssertionError("a trial ran before the seed was checked")
 
     monkeypatch.setattr(montecarlo, "_trial", no_trial)
-    with pytest.raises(ValueError, match="master_seed must be a non-negative integer"):
+    with pytest.raises(ValueError, match="master_seed must be an integer >= 0"):
         run_sweep(EnsembleConfig(ARROW, (4, 8), trials=3, master_seed=seed, workers=1))
 
 
