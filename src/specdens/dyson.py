@@ -309,6 +309,11 @@ def _feasible(c, x):
     return np.minimum.reduce(x if c > 0 else x.imag) > 0
 
 
+def _finite(x):
+    """No entry of x is infinite or NaN."""
+    return np.logical_and.reduce(np.isfinite(x))
+
+
 def _newton_step(a, z, c, x, u, xu):
     """One Newton step in multiplicative coordinates, from x with u = z + S x
     and xu = x * u.
@@ -323,9 +328,12 @@ def _newton_step(a, z, c, x, u, xu):
     before quadratic contraction sets in; a monotone line search would
     crawl.  Divergence is contained by the caller's watchdog.  Returns
     (x, res, u, xu) of the first trial in the solution domain (v > 0 on
-    the axis, Im m > 0 in the plane), or None, also when the Jacobian is
-    singular: the LAPACK gufunc behind ``np.linalg.solve`` then returns
-    NaN where the wrapper would raise (the caller silences the flag).
+    the axis, Im m > 0 in the plane), or None when y is not finite, also
+    when the Jacobian is singular: the LAPACK gufunc behind
+    ``np.linalg.solve`` then returns NaN where the wrapper would raise (the
+    caller silences the flag).  The full step is tried before y is
+    scanned: a feasible trial with a finite residual is finite and has no
+    zero entry, so y = trial / x - 1 is finite too.
 
     diag(x*u) is added in place to the diagonal, every (K+1)-th entry of
     the product.  Unlike the sum with diag(x*u) this leaves the sign of an
@@ -336,14 +344,20 @@ def _newton_step(a, z, c, x, u, xu):
     jac = (x[:, None] * a) * x[None, :]
     jac.ravel("K")[:: x.size + 1] += xu
     y = _solve(jac, c - xu)
-    if not np.logical_and.reduce(np.isfinite(y)):
+    trial = x * (1.0 + y)
+    if _feasible(c, trial):
+        stepped = _residual(a, z, c, trial)
+        if stepped[0] < math.inf or _finite(y):
+            return (trial, *stepped)
         return None
-    trial, t = x * (1.0 + y), 1.0
-    for _ in range(60):
-        if _feasible(c, trial):
-            return (trial, *_residual(a, z, c, trial))
+    if not _finite(y):
+        return None
+    t = 1.0
+    for _ in range(59):
         t *= 0.5
         trial = x * (1.0 + t * y)
+        if _feasible(c, trial):
+            return (trial, *_residual(a, z, c, trial))
     return None
 
 
@@ -428,15 +442,54 @@ def _continuation_path(target: float) -> list[float]:
     return path
 
 
+class _Predictor:
+    """Starts of the solves along one sweep or continuation path.
+
+    Away from the real-axis singularities the solution is smooth in the
+    point, so each solve starts from the quadratic Lagrange extrapolation
+    through the last three solutions of its path (a predictor-corrector
+    continuation): of log v against log eta on the axis (c > 0), so the
+    start is positive by construction, and of m against z in the plane.
+    The start is the last solution instead when fewer than three distinct
+    points precede, or when the prediction is not finite or (in the
+    plane) has Im m <= 0; it is ``first`` before any solution."""
+
+    def __init__(self, c: float, first=None):
+        self.c, self.first = c, first
+        self.last = []  # (node, value, solution) of the last three solves
+
+    def add(self, z, y) -> None:
+        node = (math.log(z), np.log(y)) if self.c > 0 else (z, y)
+        self.last = [*self.last[-2:], (*node, y)]
+
+    def start(self, z):
+        if len(self.last) < 3:
+            return self.last[-1][2] if self.last else self.first
+        (t0, q0, _), (t1, q1, _), (t2, q2, y) = self.last
+        d0, d1, d2 = (t0 - t1) * (t0 - t2), (t1 - t0) * (t1 - t2), (t2 - t0) * (t2 - t1)
+        if not (d0 and d1 and d2):  # two of the three points coincide
+            return y
+        t = math.log(z) if self.c > 0 else z
+        pred = (
+            (t - t1) * (t - t2) / d0 * q0
+            + (t - t0) * (t - t2) / d1 * q1
+            + (t - t0) * (t - t1) / d2 * q2
+        )
+        if self.c > 0:
+            pred = np.exp(pred)
+        return pred if _feasible(self.c, pred) and _finite(pred) else y
+
+
 def _solve_merged(r, z, c, tol, max_iter, y=None):
     """Solution of x * (z + r x) = c on the merged profile ``r`` (complex in
     the plane) and the iterations it took.
 
-    This is the one warm-start rule of the sweeps.  ``y``, the merged
-    solution at the previous point, starts one stage at ``z`` that gives up
-    when the watchdog fires.  Without ``y``, or when that stage gives up,
-    the cold continuation runs (:func:`_cold_axis`, :func:`_cold_plane`).
-    Both draw on one budget of ``max_iter`` iterations."""
+    This is the one warm-start rule of the sweeps.  ``y``, the start that
+    the previous points of the sweep predict (see :class:`_Predictor`),
+    starts one stage at ``z`` that gives up when the watchdog fires.
+    Without ``y``, or when that stage gives up, the cold continuation runs
+    (:func:`_cold_axis`, :func:`_cold_plane`).  Both draw on one budget of
+    ``max_iter`` iterations."""
     budget = _Budget(max_iter)
     if y is not None:
         try:
@@ -456,20 +509,24 @@ def _sweep(s, points, tol, max_iter=100_000):
     solves on the merged profile of :func:`_solver_system` (in the plane
     cast once to the C-ordered complex copy that matmul and the Jacobian
     would make on every use, so the same bits), starts each point from the
-    previous one's solution by the rule of :func:`_solve_merged`, checks
-    each axis solution against the a priori bounds and expands each
-    solution through ``cls``."""
+    extrapolation of the previous solutions (:class:`_Predictor`) by the
+    rule of :func:`_solve_merged`, checks each axis solution against the a
+    priori bounds and expands each solution through ``cls`` when rows were
+    merged.  Otherwise it yields the solution that the next prediction
+    reads, so callers do not write to it."""
     tol, max_iter = _real(tol, "tol", 0.0, strict=True), _count(max_iter, "max_iter")
     _, r, cls, row_max = _solver_system(s)
+    merged = r.shape[0] < cls.size
     c = -1.0 if isinstance(points[0], complex) else 1.0
     if c < 0:
         r = np.ascontiguousarray(r, dtype=complex)
-    y = None
+    path = _Predictor(c)
     for z in points:
-        y, iterations = _solve_merged(r, z, c, tol, max_iter, y)
+        y, iterations = _solve_merged(r, z, c, tol, max_iter, path.start(z))
+        path.add(z, y)
         if c > 0:
             _assert_axis_bounds(row_max, z, y, tol)
-        yield y[cls], iterations
+        yield (y[cls] if merged else y), iterations
 
 
 @np.errstate(all="ignore")
@@ -511,12 +568,14 @@ def solve_imaginary_axis(
 
 def _cold_axis(r, eta, tol, budget):
     """Continuation from eta_0 = max(eta, 1) down to eta, starting from
-    1 / (eta_0 + row sums / eta_0)."""
+    1 / (eta_0 + row sums / eta_0); each later stage starts from the
+    prediction of the previous ones (:class:`_Predictor`)."""
     path = _continuation_path(eta)
-    y = 1.0 / (path[0] + r.sum(axis=1) / path[0])
+    stages = _Predictor(1.0, first=1.0 / (path[0] + r.sum(axis=1) / path[0]))
     for stage_eta in path:
         stage_tol = tol if stage_eta == eta else max(tol, 1e-10)
-        y = _stage(r, stage_eta, 1.0, y, stage_tol, budget)
+        y = _stage(r, stage_eta, 1.0, stages.start(stage_eta), stage_tol, budget)
+        stages.add(stage_eta, y)
     return y
 
 
@@ -528,7 +587,7 @@ def _assert_axis_bounds(row_max, eta, v, tol):
     slack = 1.0 + 1e-9 + 10.0 * tol
     upper = 1.0 / eta
     lower = min(eta, upper) / (1.0 + row_max)
-    if (v > upper * slack).any() or (v < lower / slack).any():
+    if np.maximum.reduce(v) > upper * slack or np.minimum.reduce(v) < lower / slack:
         raise SelfCheckError(
             "solver result violates the a priori bounds "
             f"[{lower:.3e}, {upper:.3e}] at eta={eta:g}"
@@ -574,9 +633,11 @@ def _cold_plane(r, z, tol, budget):
     # (at Im z_0 = 1 from about 1e162 on); the start is then i
     if not (y.imag > 0).all():
         y = np.full(r.shape[0], 1j, dtype=complex)
+    stages = _Predictor(-1.0, first=y)
     for stage_z in path:
         stage_tol = tol if stage_z == z else max(tol, 1e-9)
-        y = _stage(r, stage_z, -1.0, y, stage_tol, budget)
+        y = _stage(r, stage_z, -1.0, stages.start(stage_z), stage_tol, budget)
+        stages.add(stage_z, y)
     return y
 
 
@@ -593,7 +654,9 @@ def density_profile(
     max_iter: int = 100_000,
 ) -> DensityCurve:
     """Density of states ``rho(tau) = Im <m(tau + i epsilon)> / pi`` along a
-    grid of real energies, warm-starting each point from its predecessor.
+    grid of real energies.  Each point starts from the quadratic
+    extrapolation through the solutions at the three points before it (from
+    the previous solution while fewer than three distinct points precede).
     A warm start is abandoned for a cold solve (continuation from
     ``Im z = 1``) as soon as it stalls.
 
@@ -674,7 +737,8 @@ def empirical_exponents(
 ) -> ScalingFit:
     """Fit the small-``eta`` power laws of the per-block averages of ``v``.
 
-    Solves the axis equation on a descending geometric grid (warm starts),
+    Solves the axis equation on a descending geometric grid (each point
+    starts from the extrapolation of the previous solutions),
     averages ``v`` over each block of the normal form, and fits the slope
     of ``log`` average against ``log eta`` per block.  The prediction is
     ``-f_b`` with ``f`` the exact block exponents; ``max_deviation`` is the
@@ -920,7 +984,12 @@ def quantile(curve: DensityCurve, sigma, n: int) -> QuantileFit:
     Raises GridTooCoarseError when the quantile falls inside the first grid
     cell or beyond the grid."""
     n = _count(n, "n")
-    sig_f = _real(float(sigma) if isinstance(sigma, Fraction) else sigma, "sigma", 0.0)
+    if isinstance(sigma, Fraction):
+        try:
+            sigma = float(sigma)
+        except OverflowError:  # beyond the float range: no finite real
+            sigma = math.inf
+    sig_f = _real(sigma, "sigma", 0.0)
     if not sig_f < 1:
         raise ValueError("sigma must lie in [0, 1)")
     taus = np.asarray(curve.tau, dtype=float)

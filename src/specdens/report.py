@@ -230,14 +230,12 @@ def sweep_section(rep: SweepReport) -> dict:
 # --- CSV --------------------------------------------------------------------------
 
 
+_FLOAT_CELL = "%.12g"  # also spells nan, inf and -inf
+
+
 def _csv_cell(x) -> str:
     if isinstance(x, (float, np.floating)):
-        x = float(x)
-        if math.isnan(x):
-            return "nan"
-        if math.isinf(x):
-            return "inf" if x > 0 else "-inf"
-        return "%.12g" % x
+        return _FLOAT_CELL % x
     return str(x)
 
 
@@ -255,10 +253,9 @@ def scaling_table_csv(fit: ScalingFit) -> str:
 
 
 def density_csv(curve: DensityCurve) -> str:
-    lines = ["tau,rho"]
-    for t, r in zip(curve.tau, curve.rho):
-        lines.append(f"{_csv_cell(float(t))},{_csv_cell(float(r))}")
-    return "\n".join(lines) + "\n"
+    row = f"{_FLOAT_CELL},{_FLOAT_CELL}"  # the cells of two floats
+    cells = zip(np.asarray(curve.tau).tolist(), np.asarray(curve.rho).tolist())
+    return "\n".join(["tau,rho", *(row % pair for pair in cells)]) + "\n"
 
 
 def sweep_csv(rep: SweepReport) -> str:

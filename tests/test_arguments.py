@@ -21,6 +21,7 @@ import dataclasses
 import math
 import time
 import warnings
+from fractions import Fraction
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -156,7 +157,7 @@ LIBRARY = [
     Row("atom_mass_estimate-tol", POSITIVE,
         lambda x: atom_mass_estimate(NOSUPPORT3, tol=x), 2.0**-40, extra=(-1.0, 0.0)),
     Row("quantile-sigma", NON_NEGATIVE, lambda x: quantile(SEMICIRCLE, x, 100), 0.5,
-        extra=("1/3",)),
+        extra=("1/3", Fraction(10**400))),
     Row("quantile-n", COUNT, lambda x: quantile(SEMICIRCLE, 0.0, x), 100),
     Row("sample_block_hermitian-n", COUNT,
         lambda x: sample_block_hermitian(ARROW, x, np.random.default_rng(1)), 4,

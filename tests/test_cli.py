@@ -10,6 +10,7 @@ import pytest
 import specdens
 import specdens.cli as cli
 import specdens.minmax
+from specdens.dyson import density_profile
 from specdens.errors import (
     CyclicRelationError,
     EigFailureError,
@@ -250,14 +251,16 @@ SOLVER_PROFILES = {
     "arrow": ARROW_CSV, "chain3": "1,1,1\n1,1,0\n1,0,0\n", "reference": REFERENCE_CSV,
 }
 # SHA-256 of the stdout of the solver commands on profiles without repeated
-# rows, captured before identical rows were merged in the solvers
+# rows, captured when each solve started from the extrapolation of the
+# previous solutions (the last digits of some values moved, by at most
+# 1e-9 relative, when the predictor replaced the previous-point start)
 SOLVER_OUTPUT_SHA256 = {
-    ("arrow", "density"): "1ab7bb3f2788a1e616d736fd2b8223ba253c1aa64e0ae5a833f4b1d1cd468462",
-    ("arrow", "scaling"): "bee6692252d6533b10ff66e0f0e7a26ec670234be322d4c54dae841fdec93825",
-    ("chain3", "density"): "48c7f0927c3a718e9f8d69983b05d179d825fcad182aa50b92430c58ab1577d1",
-    ("chain3", "scaling"): "78f42919ad1c2b969e64db05fe151105e00d3d9688162923cdb621b96b3923a1",
-    ("reference", "density"): "5c8183df13d71e61e9c75410d2d86126c5b0cd349439933a886d7920e40f2c9b",
-    ("reference", "scaling"): "7deaf18d1e4b516f9d10a514d3c1bc182a8009a95939411418342af66a7a5450",
+    ("arrow", "density"): "438784334b02f0a9e91f90961289ea118d598a9a0f8f4d7f4bc682022833ab8f",
+    ("arrow", "scaling"): "d92d44c715a3a48f389a4becb3627f6ec0a0958033136484502859c0e0c06451",
+    ("chain3", "density"): "a12f6684e05e097282f086960c59ec7cb6f8f76e32bcaeb2cbed8480f9fa5807",
+    ("chain3", "scaling"): "112a5bf43d25e2d79d8e85814d4c19cfc025f47e1a916b367f07b8f6f85a9b1d",
+    ("reference", "density"): "4330d868d0d935ed14fa3318ce1ba7988853609b95bd93a06a16c02fc91ecb6a",
+    ("reference", "scaling"): "d68016b452b4a9e989b958f7d8d54904e70e293b7e2ce9b827c2c48efcd41167",
 }
 
 
@@ -272,17 +275,29 @@ def test_solver_commands_are_byte_identical(tmp_path, capsys, name, command):
 
 
 def test_density_abandons_a_stalled_warm_start(arrow_file, capsys):
-    # at tau = 0.1 the warm start from the previous point stalls, and the
-    # point is solved cold; the digest was captured when the stalled warm
-    # start still ran its whole 100,000-iteration budget first (about 1 s)
+    # at tau = 0.1 the warm start predicted from the previous points stalls,
+    # and the point is solved cold; a stalled warm start once ran its whole
+    # 100,000-iteration budget first (about 1 s)
     t0 = time.perf_counter()
     assert cli.main(["density", arrow_file, "--points", "51"]) == 0
     elapsed = time.perf_counter() - t0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "a74f61c28a6cb5c8e68553a7790dfff9583f9156f0b1cf03024739afc3d78704"
+        "2b1b6b2908bd9c3898bae896ec0d89a273806eb215fb56bcfd6525b9d9a43da2"
     )
     assert elapsed < 0.5
+
+
+def test_density_on_a_one_point_range(arrow_file, capsys):
+    # five equal points: no three distinct points to extrapolate through,
+    # and each row is the one-point solve
+    argv = ["density", arrow_file, "--tau-min", "0.5", "--tau-max", "0.5", "--points", "5"]
+    assert cli.main(argv) == 0
+    captured = capsys.readouterr()
+    rows = [line.split(",") for line in captured.out.splitlines()[1:]]
+    one = density_profile([[1.0, 1.0], [1.0, 0.0]], [0.5], epsilon=1e-6).rho[0]
+    assert len(rows) == 5 and captured.err == ""
+    assert all(float(t) == 0.5 and abs(float(rho) / one - 1.0) <= 1e-9 for t, rho in rows)
 
 
 def test_exit_code_invalid_argument(arrow_file, capsys):

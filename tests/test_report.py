@@ -11,7 +11,7 @@ import pytest
 from specdens.dyson import DensityCurve, empirical_exponents
 from specdens.errors import NegativeEntryError, NotSymmetricError
 from specdens.minmax import analyze
-from specdens.montecarlo import EnsembleConfig, run_sweep
+from specdens.montecarlo import EnsembleConfig, SweepReport, run_sweep
 from specdens.normal_form import VarianceProfile, pattern_of
 from specdens.report import (
     canonical_json,
@@ -303,6 +303,26 @@ def test_density_csv():
         tau=np.array([0.0, 0.5]), rho=np.array([0.25, 0.125]), epsilon=1e-6
     )
     assert density_csv(curve) == "tau,rho\n0,0.25\n0.5,0.125\n"
+
+
+def test_csv_cells_of_special_floats():
+    # the bytes the cells had when nan and the infinities were spelled out
+    # by hand
+    values = [math.nan, math.inf, -math.inf, -0.0, 1e-320, 5e300]
+    cells = ["nan", "inf", "-inf", "-0", "9.99988867183e-321", "5e+300"]
+    curve = DensityCurve(tau=np.array(values), rho=np.array(values[::-1]), epsilon=1e-3)
+    assert density_csv(curve) == "tau,rho\n" + "".join(
+        f"{t},{r}\n" for t, r in zip(cells, cells[::-1])
+    )
+    rep = SweepReport(
+        sizes=tuple(range(1, 7)), dims=tuple(range(2, 13, 2)), trials=2, master_seed=0,
+        smin=np.zeros((6, 2)), mean_smin=tuple(values),
+        stderr_smin=tuple(np.float64(x) for x in values[::-1]), mean_cond=tuple(values),
+        slope=0.0, predicted_slope=None,
+    )
+    assert sweep_csv(rep).splitlines()[1:] == [
+        f"{n},{2 * n},{a},{b},{a}" for n, a, b in zip(range(1, 7), cells, cells[::-1])
+    ]
 
 
 def test_sweep_csv():
