@@ -25,12 +25,14 @@ infinite or negative ``--tolerance``); 3 profile with an identically zero
 row; 4 internal structure violation (including a cyclic block relation) or a
 result failing its self-check; 5 numerical
 failure (solver non-convergence, an iterate leaving the upper half-plane,
-a failed eigendecomposition); 6 any other error of the package.
+a failed eigendecomposition); 6 any other error of the package; 141
+(128 + SIGPIPE) stdout closed before the output was written, silently.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -81,6 +83,7 @@ EXIT_ZERO_ROW = 3
 EXIT_STRUCTURE = 4
 EXIT_NUMERICAL = 5
 EXIT_OTHER = 6
+EXIT_BROKEN_PIPE = 141
 
 _DEFAULT_SIZES = "32,64,128,256,512"
 
@@ -285,7 +288,14 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at shutdown
+        return code
+    except BrokenPipeError:
+        # the reader is gone (``specdens report p.csv | head``): what is
+        # still buffered goes to devnull at exit instead of failing again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except (ValueError, NotSymmetricError, NegativeEntryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

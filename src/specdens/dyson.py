@@ -19,10 +19,8 @@ the random-matrix ensemble with variance profile ``S``.  This module
 * builds the rescaled zero-energy data: the block coefficient matrices of
   the rescaled profile, the exactly rational growth rates of its
   first-order term, the limiting weight vector obtained by extrapolation,
-  and the constraint residuals that certify the weights,
-* estimates the point mass at zero for profiles without support, and
-* computes density quantiles together with the predicted finite-size
-  scaling slope of the smallest singular value.
+  and the constraint residuals that certify the weights, and
+* estimates the point mass at zero for profiles without support.
 
 The functions that need the exact classification read it from
 :func:`~specdens.minmax.analyze` and also take its result in place of a
@@ -42,11 +40,9 @@ import numpy as np
 from numpy.linalg._umath_linalg import solve1 as _solve
 
 from .errors import (
-    GridTooCoarseError,
     HasSupportError,
     ImaginarySignLostError,
     NonConvergenceError,
-    NonPositiveInputError,
     NoSupportError,
     SelfCheckError,
     ZeroRowError,
@@ -65,17 +61,14 @@ __all__ = [
     "RescaledData",
     "RescaledResiduals",
     "AtomMass",
-    "QuantileFit",
     "solve_imaginary_axis",
     "solve_upper_half_plane",
     "density_profile",
-    "variational_value",
     "empirical_exponents",
     "rescaled_profile",
     "limit_weights",
     "rescaled_residuals",
     "atom_mass_estimate",
-    "quantile",
 ]
 
 
@@ -203,17 +196,6 @@ class AtomMass:
     estimates: tuple[float, ...]
 
 
-@dataclass(frozen=True)
-class QuantileFit:
-    """Location ``gamma`` of the ``1/n`` density quantile near zero and the
-    predicted log-log slope ``-1/(1 - sigma)`` of the smallest singular
-    value against the matrix dimension."""
-
-    gamma: float
-    predicted_slope: float
-    mass_target: float
-
-
 # --- shared validation ----------------------------------------------------------
 
 
@@ -249,15 +231,6 @@ def _lumped(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     r = np.zeros((first.size, first.size))
     np.add.at(r.T, cls, a[first[order]].T)
     return r, cls
-
-
-def _positive_vector(x, k: int, name: str) -> np.ndarray:
-    v = np.asarray(x, dtype=float)
-    if v.shape != (k,):
-        raise ValueError(f"{name} must have shape ({k},)")
-    if not ((v > 0) & np.isfinite(v)).all():
-        raise NonPositiveInputError(f"{name} must be finite and strictly positive")
-    return v.copy()
 
 
 class _Budget:
@@ -676,34 +649,6 @@ def density_profile(
     return DensityCurve(tau=taus, rho=rho, epsilon=epsilon)
 
 
-# --- variational characterization ------------------------------------------------
-
-
-def variational_value(s, x, eta: float) -> float:
-    """Value of the strictly convex functional whose unique minimizer over
-    positive vectors is the solution ``v(eta)``:
-
-        J(x) = <x, S x> / 2 - <log x> + eta <x>,
-
-    with normalized averages ``<y> = mean(y)``.  Raises
-    NonPositiveInputError unless ``x`` is finite and ``x > 0`` entrywise.
-    Returns ``inf``, without a warning, when evaluating ``<x, S x>`` or
-    ``eta <x>`` overflows the float range (entries near the float maximum
-    can overflow a partial sum even where ``J`` is finite); the value is
-    never NaN (at ``eta = 0`` the last term is zero even when ``<x>``
-    overflows)."""
-    profile = as_profile(s)
-    xv = _positive_vector(x, profile.k, "x")
-    eta = _real(eta, "eta", 0.0)
-    a = profile.entries
-    # Both overflowing terms are non-negative and -<log x> is finite, so an
-    # overflow can only make the sum +inf.
-    with np.errstate(over="ignore"):
-        quadratic = 0.5 * np.mean(xv * (a @ xv))
-        linear = eta * np.mean(xv) if eta else 0.0
-    return float(quadratic - np.mean(np.log(xv)) + linear)
-
-
 # --- empirical power laws ---------------------------------------------------------
 
 
@@ -969,51 +914,4 @@ def atom_mass_estimate(
         kappa_numeric=estimates[-1],
         eta_grid=etas,
         estimates=estimates,
-    )
-
-
-# --- quantiles and scaling prediction ---------------------------------------------
-
-
-def quantile(curve: DensityCurve, sigma, n: int) -> QuantileFit:
-    """Smallest ``gamma`` with ``integral of rho from the grid start to
-    gamma`` equal to ``1/n`` (trapezoid rule, linear interpolation inside
-    the bracketing cell), with the predicted log-log slope ``-1/(1-sigma)``
-    of the smallest singular value against the matrix dimension.
-
-    Raises GridTooCoarseError when the quantile falls inside the first grid
-    cell or beyond the grid."""
-    n = _count(n, "n")
-    if isinstance(sigma, Fraction):
-        try:
-            sigma = float(sigma)
-        except OverflowError:  # beyond the float range: no finite real
-            sigma = math.inf
-    sig_f = _real(sigma, "sigma", 0.0)
-    if not sig_f < 1:
-        raise ValueError("sigma must lie in [0, 1)")
-    taus = np.asarray(curve.tau, dtype=float)
-    rho = np.asarray(curve.rho, dtype=float)
-    if taus.size < 3 or (np.diff(taus) <= 0).any():
-        raise ValueError("curve must be sampled on an increasing grid")
-    target = 1.0 / n
-    cum = np.concatenate(
-        ([0.0], np.cumsum(0.5 * (rho[1:] + rho[:-1]) * np.diff(taus)))
-    )
-    if cum[-1] < target:
-        raise GridTooCoarseError(
-            f"grid carries mass {cum[-1]:.3e} < target {target:.3e}"
-        )
-    j = int(np.searchsorted(cum, target))
-    if j <= 1:
-        raise GridTooCoarseError(
-            "quantile falls inside the first grid cell; refine the grid"
-        )
-    gamma = taus[j - 1] + (target - cum[j - 1]) * (taus[j] - taus[j - 1]) / (
-        cum[j] - cum[j - 1]
-    )
-    return QuantileFit(
-        gamma=float(gamma),
-        predicted_slope=-1.0 / (1.0 - sig_f),
-        mass_target=target,
     )

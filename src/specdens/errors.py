@@ -28,8 +28,6 @@ __all__ = [
     "ImaginarySignLostError",
     "NonPositiveInputError",
     "EigFailureError",
-    "SingularMatrixError",
-    "GridTooCoarseError",
 ]
 
 
@@ -111,9 +109,8 @@ class ImaginarySignLostError(SpecdensError):
 
 class NonPositiveInputError(SpecdensError, ValueError, TypeError):
     """A numeric argument is not of its kind, or lies below its bound: a
-    count or a finite real (see :func:`_count` and :func:`_real`), or a
-    vector required to be finite and strictly positive.  As a kind includes
-    the type, it is a TypeError as well as a ValueError."""
+    count or a finite real (see :func:`_count` and :func:`_real`).  As a
+    kind includes the type, it is a TypeError as well as a ValueError."""
 
 
 # --- Monte Carlo ---------------------------------------------------------------
@@ -121,14 +118,6 @@ class NonPositiveInputError(SpecdensError, ValueError, TypeError):
 
 class EigFailureError(SpecdensError):
     """An eigendecomposition failed or did not pass its sanity checks."""
-
-
-class SingularMatrixError(SpecdensError):
-    """A condition number was requested for an exactly singular matrix."""
-
-
-class GridTooCoarseError(SpecdensError):
-    """A quantile fell below the resolution of the supplied density grid."""
 
 
 # --- argument kinds ------------------------------------------------------------

@@ -44,7 +44,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import EigFailureError, SingularMatrixError, _count
+from .errors import EigFailureError, _count
 from .minmax import analyze
 from .normal_form import as_profile
 
@@ -53,7 +53,6 @@ __all__ = [
     "SweepReport",
     "sample_block_hermitian",
     "smallest_singular_value",
-    "condition_number",
     "run_sweep",
 ]
 
@@ -252,16 +251,6 @@ def smallest_singular_value(h: np.ndarray) -> float:
     sanity checks."""
     w = _checked_eigenvalues(h)
     return float(np.abs(w).min())
-
-
-def condition_number(h: np.ndarray) -> float:
-    """Spectral condition number of a Hermitian matrix.  Raises
-    SingularMatrixError when the matrix is exactly singular."""
-    w = np.abs(_checked_eigenvalues(h))
-    smallest = float(w.min())
-    if smallest == 0.0:
-        raise SingularMatrixError("matrix is exactly singular")
-    return float(w.max()) / smallest
 
 
 # Runtime thread-count symbols of the OpenBLAS builds numpy wheels bundle.

@@ -55,7 +55,6 @@ __all__ = [
     "ChainResult",
     "symmetric_normal_form",
     "no_support_normal_form",
-    "verify_normal_form",
     "build_relation",
     "longest_chain",
 ]
@@ -301,17 +300,13 @@ def symmetric_normal_form(s) -> NormalForm:
     return nf
 
 
-def verify_normal_form(s, nf: NormalForm) -> None:
-    """Audit a claimed normal form against the profile's zero pattern;
-    raises StructureViolationError on the first failure.  One matching
-    certifies every anti-diagonal block (i, partner(i)) fully
-    indecomposable: a perfect matching of those blocks' entries takes the
-    rows of block i into block partner(i), and the block's digraph under it
-    is strongly connected."""
-    _verify_normal_form(pattern_of(s), nf)
-
-
 def _verify_normal_form(pat: ZeroPattern, nf: NormalForm) -> None:
+    """Audit a claimed normal form against the zero pattern; raises
+    StructureViolationError on the first failure.  One matching certifies
+    every anti-diagonal block (i, partner(i)) fully indecomposable: a
+    perfect matching of those blocks' entries takes the rows of block i
+    into block partner(i), and the block's digraph under it is strongly
+    connected."""
     n = nf.n_blocks
     partner = np.array([nf.partner(i) for i in range(n)], dtype=np.intp)
 

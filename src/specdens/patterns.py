@@ -41,7 +41,6 @@ __all__ = [
     "max_bipartite_matching",
     "has_support",
     "has_total_support",
-    "is_fully_indecomposable",
     "fid_skeleton",
     "maximal_zero_submatrix",
 ]
@@ -317,15 +316,6 @@ def _skeleton_rows(
         tuple(j for j in cols if col_comp[j] == comp[i])
         for i, cols in enumerate(p.rows)
     )
-
-
-def is_fully_indecomposable(p: ZeroPattern) -> bool:
-    """True iff the pattern has no p x q all-zero submatrix with p + q = K,
-    i.e. iff it has a positive diagonal and a single fine class."""
-    try:
-        return max(_fine_classes(p)[1]) == 0
-    except NoSupportError:
-        return False
 
 
 def fid_skeleton(p: ZeroPattern) -> ZeroPattern:

@@ -3,12 +3,15 @@ library against.
 
 ``brute_force_oracle`` re-derives each zero-pattern classification of
 :mod:`specdens.patterns` by enumerating permutations and submatrices
-(K <= 8); ``grid`` spells a pattern out as its K x K boolean grid, and
-``rows_spread`` tests the strong Hall condition by enumerating row sets.
-``fixed_point_oracle`` solves a min-max averaging problem of
-:mod:`specdens.minmax` by Gauss-Seidel sweeps, independently of the exact
-constructive solver, and ``stability_check`` measures how far a perturbed
-problem's solution moves against the ``2**ell * max|d|`` bound.
+(K <= 8); ``grid`` spells a pattern out as its K x K boolean grid,
+``fully_indecomposable`` reads full indecomposability off the pipeline's
+own fine classes, and ``rows_spread`` tests the strong Hall condition by
+enumerating row sets.  ``fixed_point_oracle`` solves a min-max averaging
+problem of :mod:`specdens.minmax` by Gauss-Seidel sweeps, independently of
+the exact constructive solver, and ``stability_check`` measures how far a
+perturbed problem's solution moves against the ``2**ell * max|d|`` bound.
+``variational_value`` is the convex functional whose minimiser is the
+solution of the Dyson equation on the imaginary axis.
 """
 
 from __future__ import annotations
@@ -19,9 +22,11 @@ from fractions import Fraction
 from itertools import combinations, permutations
 from typing import Mapping, Optional
 
+import numpy as np
+
 from specdens.errors import NoSupportError
 from specdens.minmax import BoundaryProblem, ExponentSolution, _validate_structure
-from specdens.patterns import ZeroPattern
+from specdens.patterns import ZeroPattern, _fine_classes
 
 
 class TooLargeError(Exception):
@@ -47,6 +52,15 @@ def grid(p: ZeroPattern) -> tuple[tuple[bool, ...], ...]:
             flags[j] = True
         cells.append(tuple(flags))
     return tuple(cells)
+
+
+def fully_indecomposable(p: ZeroPattern) -> bool:
+    """True iff the pattern has a positive diagonal and a single fine class
+    (see :func:`specdens.patterns._fine_classes`)."""
+    try:
+        return max(_fine_classes(p)[1]) == 0
+    except NoSupportError:
+        return False
 
 
 def _normalize_query(query: str) -> str:
@@ -275,3 +289,22 @@ def _longest_path_length(vertices, edges, pos, succ, topo) -> int:
         for u in succ[v]:
             depth[v] = max(depth[v], depth[u] + 1)
     return max(depth.values()) if depth else 0
+
+
+# --- Dyson equation ----------------------------------------------------------------
+
+
+def variational_value(s, x, eta: float) -> float:
+    """Value of the strictly convex functional whose unique minimiser over
+    positive vectors is the solution ``v(eta)`` of ``1/v = eta + S v``
+    (Ajanki, Erdős and Krüger, arXiv:1506.05095):
+
+        J(x) = <x, S x> / 2 - <log x> + eta <x>,
+
+    with normalized averages ``<y> = mean(y)``.  ValueError unless ``x`` is
+    finite and ``x > 0`` entrywise."""
+    a = np.asarray(s, dtype=float)
+    x = np.asarray(x, dtype=float)
+    if not ((x > 0) & np.isfinite(x)).all():
+        raise ValueError("x must be finite and strictly positive")
+    return float(0.5 * np.mean(x * (a @ x)) - np.mean(np.log(x)) + eta * np.mean(x))

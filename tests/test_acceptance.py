@@ -46,10 +46,15 @@ from specdens.patterns import (
     fid_skeleton,
     has_support,
     has_total_support,
-    is_fully_indecomposable,
     maximal_zero_submatrix,
 )
-from oracles import brute_force_oracle, fixed_point_oracle, grid, stability_check
+from oracles import (
+    brute_force_oracle,
+    fixed_point_oracle,
+    fully_indecomposable,
+    grid,
+    stability_check,
+)
 from test_minmax import random_solvable_problem
 from test_normal_form import BIG_EXAMPLE
 
@@ -179,7 +184,7 @@ def test_pattern_oracle_equivalence():
         sup = has_support(p)
         assert sup == brute_force_oracle(p, "support")
         assert has_total_support(p) == brute_force_oracle(p, "total_support")
-        assert is_fully_indecomposable(p) == brute_force_oracle(p, "fid")
+        assert fully_indecomposable(p) == brute_force_oracle(p, "fid")
         if sup:
             assert grid(fid_skeleton(p)) == brute_force_oracle(p, "skeleton")
         rows_ok = all(p.rows)

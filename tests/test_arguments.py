@@ -21,7 +21,6 @@ import dataclasses
 import math
 import time
 import warnings
-from fractions import Fraction
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -30,15 +29,12 @@ import pytest
 import specdens.cli as cli
 from specdens import dyson, montecarlo
 from specdens.dyson import (
-    DensityCurve,
     atom_mass_estimate,
     density_profile,
     empirical_exponents,
     limit_weights,
-    quantile,
     solve_imaginary_axis,
     solve_upper_half_plane,
-    variational_value,
 )
 from specdens.errors import NonPositiveInputError
 from specdens.montecarlo import EnsembleConfig, run_sweep, sample_block_hermitian
@@ -46,10 +42,6 @@ from specdens.patterns import ZeroPattern
 
 ARROW = np.array([[1.0, 1.0], [1.0, 0.0]])
 NOSUPPORT3 = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0], [1.0, 1.0, 1.0]])
-_TAUS = np.linspace(0.0, 2.0, 4001)
-SEMICIRCLE = DensityCurve(
-    tau=_TAUS, rho=np.sqrt(np.clip(4.0 - _TAUS**2, 0.0, None)) / (2.0 * math.pi), epsilon=0.0
-)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -134,8 +126,6 @@ LIBRARY = [
     Row("density_profile-max_iter", COUNT,
         lambda x: density_profile(ARROW, [0.3], epsilon=1e-3, max_iter=x), 1000,
         extra=(-5, 2.0)),
-    Row("variational_value-eta", NON_NEGATIVE,
-        lambda x: variational_value(ARROW, [1.0, 2.0], x), 0.5),
     Row("empirical_exponents-eta_min", POSITIVE,
         lambda x: empirical_exponents(ARROW, **{**_FIT, "eta_min": x}), _FIT["eta_min"]),
     Row("empirical_exponents-eta_max", POSITIVE,
@@ -156,9 +146,6 @@ LIBRARY = [
         label="eta_grid[0]"),
     Row("atom_mass_estimate-tol", POSITIVE,
         lambda x: atom_mass_estimate(NOSUPPORT3, tol=x), 2.0**-40, extra=(-1.0, 0.0)),
-    Row("quantile-sigma", NON_NEGATIVE, lambda x: quantile(SEMICIRCLE, x, 100), 0.5,
-        extra=("1/3", Fraction(10**400))),
-    Row("quantile-n", COUNT, lambda x: quantile(SEMICIRCLE, 0.0, x), 100),
     Row("sample_block_hermitian-n", COUNT,
         lambda x: sample_block_hermitian(ARROW, x, np.random.default_rng(1)), 4,
         label="block size n"),

@@ -20,11 +20,10 @@ from specdens.patterns import (
     fid_skeleton,
     has_support,
     has_total_support,
-    is_fully_indecomposable,
     maximal_zero_submatrix,
 )
 
-from oracles import brute_force_oracle, grid
+from oracles import brute_force_oracle, fully_indecomposable, grid
 
 
 def symmetric_patterns(k):
@@ -60,7 +59,7 @@ def test_census_of_symmetric_patterns_up_to_k4():
             total = brute_force_oracle(p, "total_support")
             assert has_support(p) == support
             assert has_total_support(p) == total
-            assert is_fully_indecomposable(p) == brute_force_oracle(p, "fid")
+            assert fully_indecomposable(p) == brute_force_oracle(p, "fid")
             if support:
                 assert grid(fid_skeleton(p)) == brute_force_oracle(p, "skeleton")
             tag, value = _invariants(s)

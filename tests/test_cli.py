@@ -2,8 +2,11 @@
 
 import hashlib
 import json
+import os
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -16,9 +19,9 @@ from specdens.errors import (
     EigFailureError,
     HasSupportError,
     ImaginarySignLostError,
+    InfeasibleError,
     NonConvergenceError,
     SelfCheckError,
-    SingularMatrixError,
     SpecdensError,
 )
 from specdens.report import canonical_json
@@ -378,7 +381,7 @@ def _raiser(exc):
          ImaginarySignLostError("iterate left the upper half-plane"), 5),
         ("simulate", "run_sweep", EigFailureError("eigvalsh failed"), 5),
         ("classify", "classification_document", SpecdensError("base"), 6),
-        ("simulate", "run_sweep", SingularMatrixError("singular"), 6),
+        ("simulate", "run_sweep", InfeasibleError("no monotone solution"), 6),
     ],
     ids=["cyclic", "has_support", "self_check", "imaginary_sign",
          "eig_failure", "base", "unmapped_subclass"],
@@ -390,3 +393,21 @@ def test_exit_code_package_errors(arrow_file, capsys, monkeypatch,
     out, err = capsys.readouterr()
     assert out == ""
     assert err.count("\n") == 1 and "error: " in err and str(exc) in err
+
+
+def test_a_closed_stdout_exits_141_without_a_traceback(arrow_file):
+    # the read end is closed before the CLI starts, so its first write to
+    # stdout fails whatever the timing (a reader such as ``head -c 10``
+    # leaving early fails it only sometimes)
+    read, write = os.pipe()
+    os.close(read)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    try:
+        run = subprocess.run(
+            [sys.executable, "-m", "specdens.cli", "report", arrow_file],
+            stdout=write, stderr=subprocess.PIPE, text=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+    finally:
+        os.close(write)
+    assert (run.returncode, run.stderr) == (141, "")

@@ -9,20 +9,16 @@ import pytest
 
 from specdens import dyson
 from specdens.dyson import (
-    DensityCurve,
     atom_mass_estimate,
     density_profile,
     empirical_exponents,
     limit_weights,
-    quantile,
     rescaled_profile,
     rescaled_residuals,
     solve_imaginary_axis,
     solve_upper_half_plane,
-    variational_value,
 )
 from specdens.errors import (
-    GridTooCoarseError,
     HasSupportError,
     ImaginarySignLostError,
     NonConvergenceError,
@@ -32,6 +28,7 @@ from specdens.errors import (
 )
 from specdens.minmax import analyze
 
+from oracles import variational_value
 from test_normal_form import BIG_EXAMPLE
 
 ONES1 = np.array([[1.0]])
@@ -810,30 +807,6 @@ def test_variational_minimum_at_solution():
         assert variational_value(CHAIN3, x, eta) >= j_v
 
 
-def test_variational_rejects_nonpositive():
-    with pytest.raises(NonPositiveInputError):
-        variational_value(ONES1, np.zeros(1), 1.0)
-
-
-@pytest.mark.parametrize("x", [[math.inf, 1.0], [math.nan, 1.0]], ids=["inf", "nan"])
-def test_variational_rejects_non_finite(x):
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(NonPositiveInputError, match="finite and strictly positive"):
-            variational_value(ARROW, x, 0.1)
-
-
-@pytest.mark.parametrize(
-    "x, eta",
-    [([1e200, 1e200], 0.1), ([1e300, 1e-300], 0.1), ([1e308, 1e308], 0.0)],
-    ids=["quadratic", "lopsided", "eta0"],
-)
-def test_variational_overflow_is_inf_without_warning(x, eta):
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        assert variational_value(ARROW, x, eta) == math.inf
-
-
 # --- empirical power laws ---------------------------------------------------------
 
 
@@ -1035,48 +1008,3 @@ def test_atom_mass_direct_sum_scaling():
 def test_atom_mass_rejects_supported():
     with pytest.raises(HasSupportError):
         atom_mass_estimate(ONES2)
-
-
-# --- quantiles --------------------------------------------------------------------
-
-
-def _semicircle_curve(n=4001):
-    taus = np.linspace(0.0, 2.0, n)
-    rho = np.sqrt(np.clip(4.0 - taus**2, 0.0, None)) / (2.0 * math.pi)
-    return DensityCurve(tau=taus, rho=rho, epsilon=0.0)
-
-
-def test_quantile_semicircle():
-    qf = quantile(_semicircle_curve(), 0.0, 100)
-    # near zero the density is 1/pi, so the 1/100 quantile sits at pi/100
-    assert qf.gamma == pytest.approx(math.pi / 100, rel=1e-3)
-    assert qf.predicted_slope == -1.0
-
-
-def test_quantile_predicted_slopes():
-    curve = _semicircle_curve()
-    assert quantile(curve, F(1, 3), 50).predicted_slope == pytest.approx(-1.5)
-    assert quantile(curve, F(1, 2), 50).predicted_slope == pytest.approx(-2.0)
-
-
-@pytest.mark.parametrize("n", [2.5, 100.0, True, 0, -3, "100"])
-def test_quantile_rejects_a_non_integer_n(n):
-    with pytest.raises(ValueError, match="n must be an integer >= 1"):
-        quantile(_semicircle_curve(), 0.0, n)
-
-
-def test_quantile_accepts_numpy_integers():
-    curve = _semicircle_curve()
-    assert quantile(curve, 0.0, np.int64(100)) == quantile(curve, 0.0, 100)
-
-
-def test_quantile_grid_too_coarse():
-    coarse = DensityCurve(
-        tau=np.linspace(0.0, 2.0, 6),
-        rho=np.full(6, 1.0 / math.pi),
-        epsilon=0.0,
-    )
-    with pytest.raises(GridTooCoarseError):
-        quantile(coarse, 0.0, 1000)
-    with pytest.raises(GridTooCoarseError):
-        quantile(_semicircle_curve(), 0.0, 1)  # total mass is 1/2 < 1

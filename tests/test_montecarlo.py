@@ -14,11 +14,10 @@ import numpy as np
 import pytest
 
 from specdens import montecarlo
-from specdens.errors import EigFailureError, SingularMatrixError
+from specdens.errors import EigFailureError
 from specdens.minmax import analyze
 from specdens.montecarlo import (
     EnsembleConfig,
-    condition_number,
     run_sweep,
     sample_block_hermitian,
     smallest_singular_value,
@@ -163,13 +162,6 @@ def test_eig_failure_on_bad_matrix():
         smallest_singular_value(np.ones((2, 3)))
 
 
-def test_condition_number():
-    assert condition_number(np.eye(3)) == pytest.approx(1.0)
-    assert condition_number(np.diag([4.0, 1.0])) == pytest.approx(4.0)
-    with pytest.raises(SingularMatrixError):
-        condition_number(np.diag([1.0, 0.0]))
-
-
 @pytest.mark.parametrize("n", [2.5, 0, -1, True, "4"])
 def test_sample_rejects_bad_block_size(n):
     with pytest.raises(ValueError, match="block size n must be an integer >= 1"):
@@ -192,7 +184,7 @@ def test_spectrum_checks_hold_at_large_scale(monkeypatch):
         smallest_singular_value(h)
 
 
-@pytest.mark.parametrize("fn", [smallest_singular_value, condition_number])
+@pytest.mark.parametrize("fn", [smallest_singular_value])
 def test_empty_matrix_is_rejected(fn):
     with pytest.raises(ValueError, match="matrix must be non-empty"):
         fn(np.zeros((0, 0), dtype=complex))

@@ -14,12 +14,17 @@ from specdens.patterns import (
     fid_skeleton,
     has_support,
     has_total_support,
-    is_fully_indecomposable,
     max_bipartite_matching,
     maximal_zero_submatrix,
 )
 
-from oracles import TooLargeError, brute_force_oracle, grid, rows_spread
+from oracles import (
+    TooLargeError,
+    brute_force_oracle,
+    fully_indecomposable,
+    grid,
+    rows_spread,
+)
 from test_normal_form import BIG_EXAMPLE
 
 
@@ -116,12 +121,12 @@ def test_total_support_examples():
 
 
 def test_fid_examples():
-    assert is_fully_indecomposable(pat([[1, 1], [1, 1]]))
+    assert fully_indecomposable(pat([[1, 1], [1, 1]]))
     # permutation pattern: total support but decomposable
-    assert not is_fully_indecomposable(pat([[0, 1], [1, 0]]))
-    assert is_fully_indecomposable(pat([[1, 1, 0], [1, 1, 1], [0, 1, 1]]))
-    assert is_fully_indecomposable(pat([[1]]))
-    assert not is_fully_indecomposable(pat([[0]]))
+    assert not fully_indecomposable(pat([[0, 1], [1, 0]]))
+    assert fully_indecomposable(pat([[1, 1, 0], [1, 1, 1], [0, 1, 1]]))
+    assert fully_indecomposable(pat([[1]]))
+    assert not fully_indecomposable(pat([[0]]))
 
 
 def test_fid_implies_total_support_implies_support():
@@ -129,7 +134,7 @@ def test_fid_implies_total_support_implies_support():
     for _ in range(300):
         k = rng.randint(1, 6)
         p = random_pattern(rng, k, rng.choice([0.3, 0.5, 0.8]))
-        if is_fully_indecomposable(p):
+        if fully_indecomposable(p):
             assert has_total_support(p)
         if has_total_support(p):
             assert has_support(p)
@@ -237,7 +242,7 @@ def test_classification_permutation_invariant():
         q = permuted(p, rp, cp)
         assert has_support(p) == has_support(q)
         assert has_total_support(p) == has_total_support(q)
-        assert is_fully_indecomposable(p) == is_fully_indecomposable(q)
+        assert fully_indecomposable(p) == fully_indecomposable(q)
 
 
 # --- oracle agreement ------------------------------------------------------------------
@@ -253,7 +258,7 @@ def _assert_oracle_agreement(p):
     _assert_maximum_matching(p, m.row_match, m.size)
     assert m.perfect == has_support(p) == brute_force_oracle(p, "support")
     assert has_total_support(p) == brute_force_oracle(p, "total_support")
-    assert is_fully_indecomposable(p) == brute_force_oracle(p, "fid")
+    assert fully_indecomposable(p) == brute_force_oracle(p, "fid")
     if m.perfect:
         assert grid(fid_skeleton(p)) == brute_force_oracle(p, "skeleton")
     elif all(p.rows):
@@ -367,7 +372,7 @@ def _kernel_outputs(p):
     m = max_bipartite_matching(p)
     out = {
         "size": m.size,
-        "fid": is_fully_indecomposable(p),
+        "fid": fully_indecomposable(p),
         "total_support": has_total_support(p),
     }
     if m.perfect:
